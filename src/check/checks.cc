@@ -9,8 +9,6 @@
 
 #include "ir/printer.h"
 #include "ir/verifier.h"
-#include "runtime/job_graph.h"
-#include "runtime/thread_pool.h"
 
 namespace pibe::check {
 
@@ -54,85 +52,6 @@ class Runner
             timed("targets", [this] { runTargets(); });
         if (opts_.profile_flow && opts_.profile)
             timed("profile", [this] { runProfileFlow(); });
-        return std::move(report_);
-    }
-
-    /**
-     * Per-function portions of the enabled groups for [begin, end):
-     * verify.function, the lints, the per-site coverage audit
-     * (accumulated into `counted`, reconciled by the caller), and the
-     * verify.targets guard-chain scan against the pre-solved `tsa`.
-     * This is the unit runChecksParallel() fans out per shard.
-     */
-    CheckReport
-    runShard(ir::FuncId begin, ir::FuncId end, TargetSetAnalysis* tsa,
-             harden::CoverageReport* counted)
-    {
-        for (ir::FuncId f = begin; f < end; ++f) {
-            const ir::Function& fn = module_.func(f);
-            if (opts_.verify) {
-                auto problems = ir::verifyFunction(module_, fn);
-                broken_[f] = !problems.empty();
-                for (const std::string& p : problems) {
-                    Diagnostic& d =
-                        emit("verify.function", Severity::kError, p);
-                    d.func = f;
-                    d.func_name = fn.name;
-                }
-            }
-            if (opts_.lint && !fn.isDeclaration() && analyzable(f))
-                lintFunction(fn);
-        }
-        if (opts_.coverage && counted)
-            coverageRange(begin, end, *counted);
-        if (opts_.targets && tsa)
-            targetsGuardRange(begin, end, *tsa);
-        return std::move(report_);
-    }
-
-    /**
-     * Module-wide obligations that cannot shard: site-id uniqueness,
-     * coverage reconciliation against the summed shard counts,
-     * target-set seed/site checks, and profile flow. Runs serially
-     * after the shard fan-out.
-     */
-    CheckReport
-    runModuleTail(TargetSetAnalysis* tsa,
-                  const harden::CoverageReport* counted)
-    {
-        if (opts_.verify) {
-            for (const std::string& p :
-                 ir::verifyModuleSiteIds(module_))
-                emit("verify.sites", Severity::kError, p);
-        }
-        if (opts_.coverage && counted)
-            reconcile(*counted);
-        if (opts_.targets && tsa) {
-            targetsBadSlots(*tsa);
-            targetsModuleSites(*tsa);
-        }
-        if (opts_.profile_flow && opts_.profile)
-            runProfileFlow();
-        return std::move(report_);
-    }
-
-    /** Per-function subset: verify + lint of one function only. */
-    CheckReport
-    runSingle(ir::FuncId func)
-    {
-        const ir::Function& f = module_.func(func);
-        if (opts_.verify) {
-            auto problems = ir::verifyFunction(module_, f);
-            broken_[func] = !problems.empty();
-            for (const std::string& p : problems) {
-                Diagnostic& d =
-                    emit("verify.function", Severity::kError, p);
-                d.func = func;
-                d.func_name = f.name;
-            }
-        }
-        if (opts_.lint && !f.isDeclaration() && analyzable(func))
-            lintFunction(f);
         return std::move(report_);
     }
 
@@ -925,93 +844,6 @@ runChecks(const ir::Module& module, const CheckOptions& opts,
     }
     AnalysisManager local(module);
     return Runner(module, opts, local).run();
-}
-
-CheckReport
-runChecksParallel(const ir::Module& module, const CheckOptions& opts,
-                  runtime::ThreadPool& pool, size_t shard_size,
-                  AnalysisManager* am)
-{
-    AnalysisManager local(module);
-    AnalysisManager& shared = am ? *am : local;
-    if (am)
-        PIBE_ASSERT(&am->module() == &module,
-                    "AnalysisManager wraps a different module");
-
-    CheckReport out;
-
-    // Solve the module-wide target-set fixpoint once, serially; the
-    // shard jobs only read it (see TargetSetAnalysis::ensureSolved).
-    TargetSetAnalysis* tsa = nullptr;
-    if (opts.targets) {
-        const auto t0 = Clock::now();
-        tsa = &shared.targetSets(opts.roots);
-        tsa->ensureSolved();
-        out.group_ms.emplace_back("targets.solve", msSince(t0));
-    }
-
-    const auto n = static_cast<ir::FuncId>(module.numFunctions());
-    const auto step =
-        static_cast<ir::FuncId>(std::max<size_t>(1, shard_size));
-    const size_t num_shards = n == 0 ? 0 : (n + step - 1) / step;
-    std::vector<CheckReport> reports(num_shards);
-    std::vector<harden::CoverageReport> counts(num_shards);
-
-    const auto t1 = Clock::now();
-    runtime::JobGraph graph;
-    for (size_t s = 0; s < num_shards; ++s) {
-        const auto begin = static_cast<ir::FuncId>(s * step);
-        const ir::FuncId end = std::min<ir::FuncId>(begin + step, n);
-        graph.add("check/" + std::to_string(s),
-                  [&module, &opts, &reports, &counts, tsa, begin, end,
-                   s](const runtime::JobContext&) {
-                      AnalysisManager shard_am(module);
-                      Runner r(module, opts, shard_am);
-                      reports[s] =
-                          r.runShard(begin, end, tsa, &counts[s]);
-                  });
-    }
-    graph.run(pool);
-    out.group_ms.emplace_back("shards.parallel", msSince(t1));
-
-    // FuncId-ordered merge: shard s covers a lower function range than
-    // shard s+1, so concatenation is deterministic and scheduling
-    // never leaks into the report.
-    const auto t2 = Clock::now();
-    for (size_t s = 0; s < num_shards; ++s) {
-        out.diags.insert(out.diags.end(),
-                         std::make_move_iterator(reports[s].diags.begin()),
-                         std::make_move_iterator(reports[s].diags.end()));
-    }
-    harden::CoverageReport total;
-    for (const harden::CoverageReport& c : counts) {
-        total.protected_icalls += c.protected_icalls;
-        total.vulnerable_icalls += c.vulnerable_icalls;
-        total.vulnerable_ijumps += c.vulnerable_ijumps;
-        total.protected_rets += c.protected_rets;
-        total.boot_only_rets += c.boot_only_rets;
-    }
-    Runner tail(module, opts, shared);
-    CheckReport tail_rep =
-        tail.runModuleTail(tsa, opts.coverage ? &total : nullptr);
-    out.diags.insert(out.diags.end(),
-                     std::make_move_iterator(tail_rep.diags.begin()),
-                     std::make_move_iterator(tail_rep.diags.end()));
-    out.group_ms.emplace_back("module.serial", msSince(t2));
-    return out;
-}
-
-CheckReport
-runFunctionChecks(const ir::Module& module, ir::FuncId func,
-                  const CheckOptions& opts, AnalysisManager* am)
-{
-    if (am) {
-        PIBE_ASSERT(&am->module() == &module,
-                    "AnalysisManager wraps a different module");
-        return Runner(module, opts, *am).runSingle(func);
-    }
-    AnalysisManager local(module);
-    return Runner(module, opts, local).runSingle(func);
 }
 
 std::optional<Severity>

@@ -47,10 +47,6 @@
 #include "harden/harden.h"
 #include "profile/edge_profile.h"
 
-namespace pibe::runtime {
-class ThreadPool;
-}
-
 namespace pibe::check {
 
 /** Which groups run, and their inputs. */
@@ -94,9 +90,8 @@ struct CheckReport
     std::vector<Diagnostic> diags;
 
     /**
-     * Wall time per checker phase, in run order (`pibe check
-     * --timing`). Serial runs record one entry per group; parallel
-     * runs record the solve / fan-out / serial-tail phases.
+     * Wall time per checker group, in run order (`pibe check
+     * --timing`).
      */
     std::vector<std::pair<std::string, double>> group_ms;
 
@@ -125,37 +120,6 @@ struct CheckReport
  */
 CheckReport runChecks(const ir::Module& module, const CheckOptions& opts,
                       AnalysisManager* am = nullptr);
-
-/**
- * Parallel variant of runChecks(): the per-function checker groups
- * (verify.function, the lint.* sweep, the per-site coverage audit,
- * and the verify.targets ICP guard-chain scan) fan out as JobGraph
- * shard jobs over `pool`, each with a private AnalysisManager, while
- * the module-wide obligations (site-id uniqueness, coverage
- * reconciliation, target-set seeding/site checks, profile flow) run
- * serially afterwards. The target-set fixpoint is solved once, before
- * the fan-out, and only read by the shards. Shard reports merge in
- * FuncId order, so the result is the same diagnostic multiset as
- * runChecks() — after sortDiagnostics() the two are byte-identical at
- * every pool size.
- */
-CheckReport runChecksParallel(const ir::Module& module,
-                              const CheckOptions& opts,
-                              runtime::ThreadPool& pool,
-                              size_t shard_size = 64,
-                              AnalysisManager* am = nullptr);
-
-/**
- * Run the per-function checker groups (verify + lint) for a single
- * function. Module-wide obligations — site-id uniqueness, coverage
- * reconciliation, profile flow — are deliberately not covered; they
- * need the whole module and stay with runChecks(). This is the
- * building block the parallel pipeline fans out over functions, with
- * one private AnalysisManager per worker.
- */
-CheckReport runFunctionChecks(const ir::Module& module, ir::FuncId func,
-                              const CheckOptions& opts,
-                              AnalysisManager* am = nullptr);
 
 /** Report plus the pass/fail verdict of one policy-gated run. */
 struct CheckOutcome

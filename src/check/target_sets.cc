@@ -19,8 +19,7 @@
  * Icall argument/return edges are added dynamically as the pointer's
  * set grows. Because the system is monotone and both engines run to
  * the least fixpoint, the solution is independent of processing order
- * and of engine — serial, parallel, fast and reference runs produce
- * bit-identical sets.
+ * and of engine — fast and reference runs produce bit-identical sets.
  */
 #include "check/target_sets.h"
 

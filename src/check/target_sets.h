@@ -34,8 +34,7 @@
  *
  * Incompleteness is sticky and propagates along the same edges as
  * target sets. The analysis is a least fixpoint of a monotone
- * constraint system, so the solution is independent of solve order —
- * serial and parallel pipeline runs see bit-identical sets.
+ * constraint system, so the solution is independent of solve order.
  *
  * The analysis is incremental at summary granularity: constraints are
  * extracted per function and cached; invalidateFunction(f) marks one
@@ -176,8 +175,7 @@ class TargetSetAnalysis
      * next invalidateFunction/invalidateAll/setSolverMode call — the
      * query methods (sites, site, regTargets, addressTaken,
      * badGlobalSlots) only read solved state and are safe to call
-     * from multiple threads concurrently (the parallel sandwich
-     * pre-solves serially, then shares one instance across shards).
+     * from multiple threads concurrently.
      */
     void ensureSolved() { sites(); }
 

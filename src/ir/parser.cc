@@ -1,6 +1,7 @@
 #include "ir/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -57,16 +58,25 @@ class LineCursor
     parseInt()
     {
         skipSpace();
-        size_t start = pos_;
+        const size_t start = pos_;
         if (pos_ < line_.size() && (line_[pos_] == '-'))
             ++pos_;
+        const size_t digits = pos_;
         while (pos_ < line_.size() && std::isdigit(
                                           static_cast<unsigned char>(
                                               line_[pos_])))
             ++pos_;
-        if (pos_ == start)
+        const size_t end = pos_;
+        pos_ = start; // point error messages at the literal
+        if (end == digits)
             fail("expected integer");
-        return std::stoll(line_.substr(start, pos_ - start));
+        int64_t value = 0;
+        if (std::from_chars(line_.data() + start, line_.data() + end,
+                            value)
+                .ec != std::errc())
+            fail("integer out of range");
+        pos_ = end;
+        return value;
     }
 
     /** Parse "rN" or "_" (kNoReg). */

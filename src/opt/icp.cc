@@ -10,6 +10,40 @@ namespace pibe::opt {
 
 namespace {
 
+/** One site's planned rewrite. */
+struct IcpSitePlan
+{
+    ir::SiteId site = ir::kNoSite;
+    ir::FuncId func = ir::kInvalidFunc; ///< Owning function.
+    /** Promoted targets, hottest first. */
+    std::vector<ir::FuncId> targets;
+    /** Pre-assigned direct-call site ids, aligned with `targets`. */
+    std::vector<ir::SiteId> direct_sites;
+    /** The site's feasible set is complete, small, and entirely
+     *  covered by `targets` (Switchpoline precondition). */
+    bool total_promotion_safe = false;
+    /** Emit the last target as an unguarded direct call and drop the
+     *  fallback icall (only set when total_promotion_safe and total
+     *  promotion is enabled). */
+    bool drop_fallback = false;
+    /** Set by applyIcpFunction when the rewrite landed. */
+    bool applied = false;
+};
+
+/** A full promotion plan over one module. */
+struct IcpPlan
+{
+    /** Site plans in ascending site order (the profile-update order). */
+    std::vector<IcpSitePlan> sites;
+    /** Indices into `sites` per owning function. */
+    std::map<ir::FuncId, std::vector<size_t>> by_func;
+    /** Exclusive upper bound of pre-assigned site ids; the caller must
+     *  module.reserveSiteIds(site_id_bound) before further allocation. */
+    ir::SiteId site_id_bound = 0;
+    /** Audit with the candidate/total fields filled in. */
+    IcpAudit audit;
+};
+
 struct PromotionCandidate
 {
     ir::SiteId site = ir::kNoSite;
@@ -46,8 +80,7 @@ findICall(ir::Function& f, ir::SiteId site, ir::BlockId* block,
  * Rewrite one indirect call site into a chain of guarded direct calls
  * (hottest target first) with the original indirect call as fallback.
  * The direct calls take their pre-assigned ids from `direct_sites`
- * (aligned with `targets`); no allocator access, so rewrites of
- * distinct functions are safe to run concurrently.
+ * (aligned with `targets`).
  *
  * With `drop_fallback` (total promotion: the target set is complete
  * and fully covered) the last target is emitted as an unguarded direct
@@ -166,8 +199,11 @@ promoteSite(ir::Function& f, ir::BlockId bb_id, uint32_t idx,
     }
 }
 
-} // namespace
-
+/**
+ * Phase 1 of runIcp (read-only): select promotions and pre-assign the
+ * fresh direct-call site ids in the order a serial allocSiteId() walk
+ * would draw them.
+ */
 IcpPlan
 planIcp(const ir::Module& module, const profile::EdgeProfile& profile,
         const IcpConfig& config)
@@ -333,6 +369,10 @@ planIcp(const ir::Module& module, const profile::EdgeProfile& profile,
     return plan;
 }
 
+/**
+ * Phase 2: apply every planned rewrite owned by `func`; mutates only
+ * that function (plus the plan's `applied` flags).
+ */
 void
 applyIcpFunction(ir::Module& module, ir::FuncId func, IcpPlan& plan)
 {
@@ -355,6 +395,11 @@ applyIcpFunction(ir::Module& module, ir::FuncId func, IcpPlan& plan)
     }
 }
 
+/**
+ * Phase 3: move promoted weight from the indirect to the direct
+ * profile in site order and complete the audit (promoted_* counters,
+ * touched set).
+ */
 IcpAudit
 finalizeIcp(IcpPlan& plan, profile::EdgeProfile& profile)
 {
@@ -396,6 +441,8 @@ finalizeIcp(IcpPlan& plan, profile::EdgeProfile& profile)
         audit.touched.end());
     return audit;
 }
+
+} // namespace
 
 IcpAudit
 runIcp(ir::Module& module, profile::EdgeProfile& profile,

@@ -64,18 +64,6 @@ const char* inlineRefusalReason(const ir::Module& module,
 InlineOutcome inlineCallSite(ir::Module& module, ir::FuncId caller,
                              ir::SiteId site);
 
-/**
- * As inlineCallSite(), but inherited sites take sequential ids
- * starting at `id_base` instead of going through the module's
- * allocator — one id per kCall/kICall of the (frozen) callee, consumed
- * in block order. The caller pre-reserves the range, which makes
- * applications over disjoint caller/callee pairs safe to run
- * concurrently and their id assignment independent of scheduling.
- */
-InlineOutcome inlineCallSiteWithIds(ir::Module& module,
-                                    ir::FuncId caller, ir::SiteId site,
-                                    ir::SiteId id_base);
-
 } // namespace pibe::opt
 
 #endif // PIBE_OPT_INLINE_CORE_H_

@@ -30,8 +30,7 @@ uint32_t lowerJumpTables(ir::Module& module, uint32_t linear_limit = 4);
 /**
  * Lower the non-asm kSwitch terminators of a single function. The
  * rewrite only ever touches `f` (new blocks/registers are appended to
- * it), so distinct functions may be lowered concurrently. Returns the
- * number of switches lowered in `f`.
+ * it). Returns the number of switches lowered in `f`.
  */
 uint32_t lowerJumpTablesInFunction(ir::Function& f,
                                    uint32_t linear_limit = 4);

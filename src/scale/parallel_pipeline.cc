@@ -1,707 +1,8 @@
 #include "scale/parallel_pipeline.h"
 
-#include <algorithm>
-#include <chrono>
-#include <memory>
-#include <mutex>
-#include <vector>
-
-#include <sys/resource.h>
-
-#include "analysis/call_graph.h"
-#include "analysis/inline_cost.h"
-#include "analysis/layout.h"
-#include "ir/verifier.h"
-#include "opt/cleanup.h"
-#include "opt/inline_core.h"
-#include "opt/jump_tables.h"
 #include "runtime/digest.h"
-#include "runtime/job_graph.h"
-#include "runtime/thread_pool.h"
-#include "support/logging.h"
 
 namespace pibe::scale {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-msSince(Clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() -
-                                                     start)
-        .count();
-}
-
-double
-processCpuMs()
-{
-    struct rusage ru;
-    if (getrusage(RUSAGE_SELF, &ru) != 0)
-        return 0;
-    auto tv_ms = [](const timeval& tv) {
-        return static_cast<double>(tv.tv_sec) * 1e3 +
-               static_cast<double>(tv.tv_usec) / 1e3;
-    };
-    return tv_ms(ru.ru_utime) + tv_ms(ru.ru_stime);
-}
-
-uint64_t
-instructionCount(const ir::Module& module)
-{
-    uint64_t n = 0;
-    for (const ir::Function& f : module.functions())
-        for (const ir::BasicBlock& bb : f.blocks)
-            n += bb.insts.size();
-    return n;
-}
-
-/**
- * A stage's fan-out point: a JobGraph when a pool is available, or —
- * under the small-module bypass — inline execution at add() time.
- * Inline execution runs job bodies in add order, which is exactly the
- * serial schedule the graph's determinism rules guarantee equivalence
- * to, so the produced module is identical either way. Dependencies
- * are honored trivially inline: a dep must be add()ed first, so it
- * has already run.
- */
-class StageExec
-{
-  public:
-    explicit StageExec(runtime::ThreadPool* pool) : pool_(pool) {}
-
-    runtime::JobId
-    add(std::string name, std::function<void(const runtime::JobContext&)> fn,
-        const std::vector<runtime::JobId>& deps = {})
-    {
-        if (!pool_) {
-            runtime::JobContext ctx;
-            ctx.id = next_inline_id_++;
-            fn(ctx);
-            return ctx.id;
-        }
-        return graph_.add(std::move(name), std::move(fn), deps);
-    }
-
-    /** No-op under the bypass (everything already ran in add()). */
-    void
-    run()
-    {
-        if (pool_)
-            graph_.run(*pool_);
-    }
-
-  private:
-    runtime::ThreadPool* pool_;
-    runtime::JobGraph graph_;
-    runtime::JobId next_inline_id_ = 0;
-};
-
-// --- participant / quiet partition ----------------------------------
-
-/**
- * Mark every function ICP or the inliner could read or write, from
- * the pre-rewrite module and profile:
- *
- *  - callers and callees of profiled direct call sites (inline
- *    candidates, including inherited ones: an inherited candidate's
- *    callee is the callee of a profiled site inside the original
- *    callee body, so it is marked by the same rule);
- *  - callers of profiled indirect sites and every profiled target
- *    (ICP rewrites the caller; promotion — and the inliner, after
- *    finalizeIcp drains counts onto the promoted direct sites —
- *    reads the targets).
- *
- * Unprofiled feasible targets appended by total promotion are only
- * ever named by a kCall operand, never read or written, so they stay
- * quiet. Everything unmarked is untouched by both passes and can be
- * hardened/audited while ICP rewrites run.
- */
-std::vector<char>
-markParticipants(const ir::Module& module,
-                 const profile::EdgeProfile& working)
-{
-    std::vector<char> part(module.numFunctions(), 0);
-    auto mark = [&part](ir::FuncId f) {
-        if (f < part.size())
-            part[f] = 1;
-    };
-    for (const ir::Function& f : module.functions()) {
-        for (const auto& bb : f.blocks) {
-            for (const auto& inst : bb.insts) {
-                if (inst.op == ir::Opcode::kCall) {
-                    if (working.directCount(inst.site_id) == 0)
-                        continue;
-                    mark(f.id);
-                    mark(inst.callee);
-                } else if (inst.op == ir::Opcode::kICall) {
-                    const auto& targets =
-                        working.indirectTargets(inst.site_id);
-                    if (targets.empty())
-                        continue;
-                    mark(f.id);
-                    for (const auto& tc : targets)
-                        mark(tc.target);
-                }
-            }
-        }
-    }
-    return part;
-}
-
-// --- ICP stage ------------------------------------------------------
-
-/**
- * Serial ICP planning: feasibility (when total promotion needs it),
- * site selection, and the SiteId reservation that lets the rewrites
- * run without an allocator. The caller fans the per-function
- * applications out and then runs opt::finalizeIcp.
- */
-opt::IcpPlan
-planIcpStage(ir::Module& image, const profile::EdgeProfile& working,
-             const ParallelPipelineConfig& config)
-{
-    opt::IcpConfig icfg = config.icp;
-    opt::FeasibilityMap feas;
-    if (icfg.total_promotion && !icfg.feasibility) {
-        check::TargetSetAnalysis tsa(image);
-        feas = check::feasibilityMap(tsa);
-        icfg.feasibility = &feas;
-    }
-    opt::IcpPlan plan = opt::planIcp(image, working, icfg);
-
-    // All fresh ids were pre-assigned at plan time; reserve them
-    // before any rewrite so concurrent applications never allocate.
-    image.reserveSiteIds(plan.site_id_bound);
-    return plan;
-}
-
-// --- harden + audit shards ------------------------------------------
-
-/** Results of one harden+check shard job. */
-struct ShardResult
-{
-    check::CheckReport report;
-    size_t computed = 0;
-    size_t hits = 0;
-};
-
-/** FuncId-ordered chunks of `funcs`, `shard_size` functions each. */
-std::vector<std::vector<ir::FuncId>>
-chunkFuncs(const std::vector<ir::FuncId>& funcs, size_t shard_size)
-{
-    const size_t step = std::max<size_t>(1, shard_size);
-    std::vector<std::vector<ir::FuncId>> chunks;
-    for (size_t b = 0; b < funcs.size(); b += step)
-        chunks.emplace_back(funcs.begin() + b,
-                            funcs.begin() +
-                                std::min(b + step, funcs.size()));
-    return chunks;
-}
-
-/**
- * Add one harden job per chunk of `funcs` to `exec`, plus (when
- * checks are on) a dependent audit job running runFunctionChecks with
- * a chunk-private AnalysisManager. `results` must outlive exec.run()
- * and have one slot per chunk starting at `result_base`.
- */
-void
-addHardenCheckJobs(StageExec& exec, ir::Module& image,
-                   const ParallelPipelineConfig& config,
-                   const check::CheckOptions& copts,
-                   const std::vector<std::vector<ir::FuncId>>& chunks,
-                   std::vector<ShardResult>& results, size_t result_base,
-                   const std::shared_ptr<std::once_flag>& check_once,
-                   const std::shared_ptr<Clock::time_point>& check_start)
-{
-    for (size_t s = 0; s < chunks.size(); ++s) {
-        const std::vector<ir::FuncId>& chunk = chunks[s];
-        const runtime::JobId hj = exec.add(
-            "harden/" + std::to_string(result_base + s),
-            [&image, &config, &chunk](const runtime::JobContext&) {
-                for (ir::FuncId f : chunk)
-                    harden::applyDefensesToFunction(image, f,
-                                                    config.defenses);
-            });
-        if (!config.run_checks)
-            continue;
-        ShardResult& slot = results[result_base + s];
-        exec.add(
-            "check/" + std::to_string(result_base + s),
-            [&image, &copts, &chunk, &slot, check_once,
-             check_start](const runtime::JobContext&) {
-                // First audit job to start stamps the stage clock
-                // (stages overlap; this is the observable boundary).
-                std::call_once(*check_once, [&check_start] {
-                    *check_start = Clock::now();
-                });
-                check::AnalysisManager am(image);
-                for (ir::FuncId f : chunk) {
-                    check::CheckReport r = check::runFunctionChecks(
-                        image, f, copts, &am);
-                    slot.report.diags.insert(slot.report.diags.end(),
-                                             r.diags.begin(),
-                                             r.diags.end());
-                }
-                slot.computed = am.computations();
-                slot.hits = am.hits();
-            },
-            {hj});
-    }
-}
-
-// --- inline stage ---------------------------------------------------
-
-/** One candidate of the round-based parallel inliner. */
-struct Candidate
-{
-    uint64_t weight = 0;
-    uint64_t seq = 0; ///< Insertion order; breaks weight ties (FIFO).
-    ir::SiteId site = ir::kNoSite;
-    ir::FuncId caller = ir::kInvalidFunc;
-    ir::FuncId callee = ir::kInvalidFunc;
-};
-
-bool
-hotterFirst(const Candidate& a, const Candidate& b)
-{
-    if (a.weight != b.weight)
-        return a.weight > b.weight;
-    return a.seq < b.seq;
-}
-
-/** Attribute-level refusal (the inst-independent subset of
- *  opt::inlineRefusalReason; the rest is re-checked at apply time). */
-bool
-refusedByAttrs(const ir::Module& module, ir::FuncId caller,
-               ir::FuncId callee)
-{
-    const ir::Function& caller_f = module.func(caller);
-    const ir::Function& callee_f = module.func(callee);
-    return callee_f.isDeclaration() || callee == caller ||
-           callee_f.hasAttr(ir::kAttrNoInline) ||
-           callee_f.hasAttr(ir::kAttrExternal) ||
-           callee_f.hasAttr(ir::kAttrOptNone) ||
-           caller_f.hasAttr(ir::kAttrOptNone);
-}
-
-/** Number of call/icall sites in `f` (ids an inline of it consumes). */
-uint32_t
-callSiteCount(const ir::Function& f)
-{
-    uint32_t n = 0;
-    for (const auto& bb : f.blocks) {
-        for (const auto& inst : bb.insts) {
-            if (inst.op == ir::Opcode::kCall ||
-                inst.op == ir::Opcode::kICall)
-                ++n;
-        }
-    }
-    return n;
-}
-
-void
-runInlineStage(ir::Module& image, profile::EdgeProfile& working,
-               const ParallelPipelineConfig& config,
-               runtime::ThreadPool* pool, ParallelPipelineReport& rep)
-{
-    const opt::PibeInlinerConfig& cfg = config.inline_cfg;
-    opt::InlineAudit& audit = rep.inlining;
-    analysis::CallGraph callgraph(image);
-    analysis::InlineCostCache costs(image);
-
-    // Snapshot profiling-time invocation counts for the constant-ratio
-    // heuristic (fixed during the run, §5.2).
-    std::vector<uint64_t> orig_invocations(image.numFunctions());
-    for (ir::FuncId f = 0; f < image.numFunctions(); ++f)
-        orig_invocations[f] = working.invocations(f);
-
-    // Rule 1: gather profiled direct call sites, in code order.
-    std::vector<Candidate> pending;
-    uint64_t seq = 0;
-    for (const ir::Function& f : image.functions()) {
-        for (const auto& bb : f.blocks) {
-            for (const auto& inst : bb.insts) {
-                if (inst.op != ir::Opcode::kCall)
-                    continue;
-                const uint64_t w = working.directCount(inst.site_id);
-                if (w == 0)
-                    continue;
-                pending.push_back(
-                    {w, seq++, inst.site_id, f.id, inst.callee});
-                audit.total_weight += w;
-            }
-        }
-    }
-    audit.candidate_sites = static_cast<uint32_t>(pending.size());
-    if (pending.empty())
-        return;
-
-    // Weight cutoffs (identical to the serial inliner's Rule 1).
-    uint64_t weight_cut = 1;
-    uint64_t lax_weight_cut = UINT64_MAX;
-    {
-        std::vector<Candidate> sorted = pending;
-        std::sort(sorted.begin(), sorted.end(), hotterFirst);
-        const double budget_target =
-            cfg.budget * static_cast<double>(audit.total_weight);
-        const double lax_target =
-            cfg.lax_budget * static_cast<double>(audit.total_weight);
-        double cum = 0;
-        for (const auto& c : sorted) {
-            const bool in_budget = cum < budget_target;
-            if (in_budget) {
-                weight_cut = c.weight;
-                audit.eligible_weight += c.weight;
-            }
-            if (cfg.lax_heuristics && cum < lax_target)
-                lax_weight_cut = c.weight;
-            cum += static_cast<double>(c.weight);
-            if (!in_budget &&
-                (!cfg.lax_heuristics || cum >= lax_target))
-                break;
-        }
-    }
-    pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [&](const Candidate& c) {
-                                     return c.weight < weight_cut;
-                                 }),
-                  pending.end());
-
-    uint64_t steps = 0;
-    while (!pending.empty()) {
-        ++rep.inline_rounds;
-        std::sort(pending.begin(), pending.end(), hotterFirst);
-
-        // Select, in weight order, a conflict-free batch: a caller is
-        // written at most once per round and never doubles as a callee
-        // (callees must stay frozen while copies are taken from them).
-        std::vector<Candidate> selected;
-        std::vector<Candidate> deferred;
-        std::vector<char> written(image.numFunctions(), 0);
-        std::vector<char> read(image.numFunctions(), 0);
-        bool hit_step_limit = false;
-        for (const Candidate& c : pending) {
-            if (steps >= cfg.max_steps) {
-                hit_step_limit = true;
-                break;
-            }
-            if (written[c.caller] || read[c.caller] ||
-                written[c.callee]) {
-                deferred.push_back(c); // retry next round
-                continue;
-            }
-            ++steps;
-            ++audit.attempted_sites;
-            if (refusedByAttrs(image, c.caller, c.callee) ||
-                callgraph.isRecursive(c.callee)) {
-                audit.blocked_other_weight += c.weight;
-                continue;
-            }
-            const bool lax_exempt =
-                cfg.lax_heuristics && c.weight >= lax_weight_cut;
-            const int64_t callee_cost = costs.cost(c.callee);
-            if (!lax_exempt) {
-                // Rule 3 first, then Rule 2 (§5.2, Figure 1). Costs
-                // are as of the round start — callers mutate only
-                // between rounds, so the order candidates are tested
-                // in within a round cannot change the outcome.
-                if (callee_cost > cfg.rule3_callee_threshold) {
-                    audit.blocked_rule3_weight += c.weight;
-                    continue;
-                }
-                if (costs.cost(c.caller) + callee_cost >
-                    cfg.rule2_caller_threshold) {
-                    audit.blocked_rule2_weight += c.weight;
-                    continue;
-                }
-            }
-            written[c.caller] = 1;
-            read[c.callee] = 1;
-            selected.push_back(c);
-        }
-        if (hit_step_limit) {
-            warn("parallel inliner: step limit reached, "
-                 "stopping early");
-            pending.clear();
-        } else {
-            pending = std::move(deferred);
-        }
-        if (selected.empty())
-            continue;
-
-        // Pre-assign inherited site ids in selection order — exactly
-        // the ids a serial walk of the same batch would allocate.
-        std::vector<ir::SiteId> id_base(selected.size());
-        ir::SiteId bound = image.siteIdBound();
-        for (size_t i = 0; i < selected.size(); ++i) {
-            id_base[i] = bound;
-            bound += callSiteCount(image.func(selected[i].callee));
-        }
-        image.reserveSiteIds(bound);
-
-        // Parallel apply: distinct callers, frozen callees. Cleanup
-        // runs in-job (it is caller-local); unused pre-assigned ids of
-        // failed applications stay unused, deterministically.
-        std::vector<opt::InlineOutcome> outcomes(selected.size());
-        StageExec exec(pool);
-        for (size_t i = 0; i < selected.size(); ++i) {
-            const Candidate& c = selected[i];
-            exec.add(
-                "inline/" + image.func(c.caller).name + "/" +
-                    std::to_string(c.site),
-                [&image, &outcomes, &selected, &id_base, &cfg,
-                 i](const runtime::JobContext&) {
-                    const Candidate& sc = selected[i];
-                    outcomes[i] = opt::inlineCallSiteWithIds(
-                        image, sc.caller, sc.site, id_base[i]);
-                    if (outcomes[i].ok && cfg.cleanup_callers)
-                        opt::cleanupFunction(image.func(sc.caller));
-                });
-        }
-        exec.run();
-
-        // Serial merge in selection order: audit accounting, the
-        // constant-ratio heuristic, and inherited re-queueing.
-        for (size_t i = 0; i < selected.size(); ++i) {
-            const Candidate& c = selected[i];
-            const opt::InlineOutcome& outcome = outcomes[i];
-            if (!outcome.ok) {
-                // Site vanished (an earlier round's cleanup removed
-                // an unreachable copy) or a racing attribute change;
-                // same accounting as the serial inliner.
-                audit.blocked_other_weight += c.weight;
-                continue;
-            }
-            ++audit.inlined_sites;
-            audit.inlined_weight += c.weight;
-            audit.touched.push_back(c.caller);
-
-            const uint64_t callee_inv =
-                cfg.propagate_inherited_counts
-                    ? orig_invocations[c.callee]
-                    : 0;
-            for (const opt::InheritedSite& inh : outcome.inherited) {
-                if (callee_inv == 0)
-                    break;
-                if (inh.indirect) {
-                    for (const auto& tc :
-                         working.indirectTargets(inh.callee_site)) {
-                        const uint64_t scaled = static_cast<uint64_t>(
-                            static_cast<double>(tc.count) *
-                            static_cast<double>(c.weight) /
-                            static_cast<double>(callee_inv));
-                        if (scaled > 0)
-                            working.addIndirect(inh.new_site,
-                                                tc.target, scaled);
-                    }
-                    continue;
-                }
-                const uint64_t base =
-                    working.directCount(inh.callee_site);
-                if (base == 0)
-                    continue;
-                const uint64_t scaled = static_cast<uint64_t>(
-                    static_cast<double>(base) *
-                    static_cast<double>(c.weight) /
-                    static_cast<double>(callee_inv));
-                if (scaled == 0)
-                    continue;
-                working.addDirect(inh.new_site, scaled);
-                if (scaled >= weight_cut) {
-                    pending.push_back({scaled, seq++, inh.new_site,
-                                       c.caller, inh.callee});
-                }
-            }
-            costs.invalidate(c.caller);
-        }
-    }
-
-    std::sort(audit.touched.begin(), audit.touched.end());
-    audit.touched.erase(
-        std::unique(audit.touched.begin(), audit.touched.end()),
-        audit.touched.end());
-}
-
-} // namespace
-
-ir::Module
-buildImageParallel(const ir::Module& linked,
-                   const profile::EdgeProfile& profile,
-                   const ParallelPipelineConfig& config,
-                   ParallelPipelineReport* report)
-{
-    ir::Module image = linked; // snapshot
-    profile::EdgeProfile working = profile;
-    ParallelPipelineReport local;
-    ParallelPipelineReport& rep = report ? *report : local;
-
-    const auto build_start = Clock::now();
-    const double cpu_start = processCpuMs();
-    rep.baseline_image_size = analysis::imageSizeOf(linked);
-
-    // Small-module bypass: below the threshold (or serially), skip the
-    // graph/pool machinery entirely — StageExec runs every job body
-    // inline in add order, the serial schedule.
-    const bool bypass =
-        config.jobs <= 1 ||
-        instructionCount(linked) < config.serial_below_insts;
-    std::unique_ptr<runtime::ThreadPool> owned_pool;
-    runtime::ThreadPool* pool = nullptr;
-    if (!bypass) {
-        pool = config.pool;
-        if (!pool) {
-            owned_pool = std::make_unique<runtime::ThreadPool>(
-                std::max<size_t>(1, config.jobs));
-            pool = owned_pool.get();
-        }
-    }
-    rep.serial_bypass = bypass;
-    rep.jobs_used = bypass ? 1 : pool->size();
-
-    // Captured before any rewrite: hardening of quiet functions (which
-    // lowers their switches) starts inside the ICP fan-out below.
-    const uint32_t switches_before = opt::countSwitches(image);
-
-    check::CheckOptions copts;
-    copts.coverage = false; // module-wide groups run at the tail
-    copts.profile_flow = false;
-
-    auto check_once = std::make_shared<std::once_flag>();
-    auto check_start = std::make_shared<Clock::time_point>();
-
-    // --- phase 1: ICP plan, then ICP rewrites fused with the quiet
-    // partition's harden+check shards in one graph. -------------------
-    const auto icp_stage_start = Clock::now();
-    opt::IcpPlan plan;
-    if (config.enable_icp) {
-        plan = planIcpStage(image, working, config);
-        rep.timing.plan_ms = msSince(icp_stage_start);
-    }
-
-    // Partition functions: participants are everything ICP/inline can
-    // read or write; the quiet rest hardens and audits right away.
-    std::vector<char> participant(image.numFunctions(), 0);
-    if (config.enable_icp || config.enable_inline)
-        participant = markParticipants(image, working);
-    for (const auto& [func, indices] : plan.by_func) {
-        (void)indices;
-        if (func < participant.size())
-            participant[func] = 1; // defensive; planned sites qualify
-    }
-    std::vector<ir::FuncId> quiet_funcs;
-    std::vector<ir::FuncId> participant_funcs;
-    for (ir::FuncId f = 0; f < image.numFunctions(); ++f)
-        (participant[f] ? participant_funcs : quiet_funcs)
-            .push_back(f);
-    rep.participant_funcs = participant_funcs.size();
-    rep.quiet_funcs = quiet_funcs.size();
-
-    const auto quiet_chunks = chunkFuncs(quiet_funcs, config.shard_size);
-    const auto part_chunks =
-        chunkFuncs(participant_funcs, config.shard_size);
-    std::vector<ShardResult> shard_results(quiet_chunks.size() +
-                                           part_chunks.size());
-
-    {
-        StageExec exec(pool);
-        if (config.enable_icp) {
-            for (const auto& [func, indices] : plan.by_func) {
-                (void)indices;
-                const ir::FuncId f = func;
-                exec.add("icp/" + image.func(f).name,
-                         [&image, &plan, f](const runtime::JobContext&) {
-                             opt::applyIcpFunction(image, f, plan);
-                         });
-            }
-        }
-        addHardenCheckJobs(exec, image, config, copts, quiet_chunks,
-                           shard_results, 0, check_once, check_start);
-        exec.run();
-    }
-    if (config.enable_icp) {
-        rep.icp = opt::finalizeIcp(plan, working);
-        rep.timing.icp_ms = msSince(icp_stage_start);
-    }
-
-    // --- phase 2: round-based parallel inlining ----------------------
-    if (config.enable_inline) {
-        const auto start = Clock::now();
-        runInlineStage(image, working, config, pool, rep);
-        rep.timing.inline_ms = msSince(start);
-    }
-
-    // --- phase 3: participants' harden+check shards, then the
-    // module-wide audit tail. -----------------------------------------
-    const auto harden_start = Clock::now();
-    {
-        StageExec exec(pool);
-        addHardenCheckJobs(exec, image, config, copts, part_chunks,
-                           shard_results, quiet_chunks.size(),
-                           check_once, check_start);
-        exec.run();
-    }
-
-    rep.coverage = harden::analyzeCoverage(image);
-    rep.coverage.lowered_switches =
-        switches_before - opt::countSwitches(image);
-    // ICP residue accounting, recovered from the promotion audit
-    // (mirrors core::buildImage).
-    rep.coverage.capped_residual_icalls = rep.icp.capped_sites;
-    rep.coverage.elided_icalls = rep.icp.fallbacks_dropped;
-    rep.timing.harden_ms = msSince(harden_start);
-
-    if (config.run_checks) {
-        std::call_once(*check_once,
-                       [&check_start] { *check_start = Clock::now(); });
-
-        // Merge in chunk (= FuncId) order: quiet chunks first, then
-        // participant chunks — sortDiagnostics below canonicalizes.
-        for (const ShardResult& sr : shard_results) {
-            rep.checks.diags.insert(rep.checks.diags.end(),
-                                    sr.report.diags.begin(),
-                                    sr.report.diags.end());
-            rep.analyses_computed += sr.computed;
-            rep.analyses_reused += sr.hits;
-        }
-
-        // Module-wide obligations: cross-function site-id uniqueness,
-        // hardening-coverage reconciliation, feasible-target
-        // validation. The per-function portions (coverage audit, ICP
-        // guard-chain scan) fan out over the same pool.
-        for (const std::string& p : ir::verifyModuleSiteIds(image)) {
-            check::Diagnostic d;
-            d.check_id = "verify.sites";
-            d.severity = check::Severity::kError;
-            d.message = p;
-            rep.checks.diags.push_back(std::move(d));
-        }
-        check::CheckOptions mopts;
-        mopts.verify = false;
-        mopts.lint = false;
-        mopts.coverage = true;
-        mopts.targets = true;
-        mopts.defense = config.defenses;
-        check::CheckReport mod =
-            pool ? check::runChecksParallel(image, mopts, *pool,
-                                            config.shard_size)
-                 : check::runChecks(image, mopts);
-        rep.checks.diags.insert(rep.checks.diags.end(),
-                                mod.diags.begin(), mod.diags.end());
-        // Canonical order: the fan-out merges findings in chunk order,
-        // which depends on shard_size and the quiet partition; sorting
-        // makes serial and --jobs N reports diff cleanly.
-        check::sortDiagnostics(rep.checks.diags);
-        rep.timing.check_ms = msSince(*check_start);
-    }
-
-    rep.timing.total_ms = msSince(build_start);
-    rep.timing.cpu_ms = processCpuMs() - cpu_start;
-    rep.image_size = analysis::imageSizeOf(image);
-    rep.final_profile = std::move(working);
-    return image;
-}
 
 std::string
 moduleDigest(const ir::Module& module)

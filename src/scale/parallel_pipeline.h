@@ -1,190 +1,27 @@
 /**
  * @file
- * Parallel incremental optimization pipeline for Linux-scale modules.
+ * Content digest of a module.
  *
- * buildImageParallel() derives a production image the way
- * core::buildImage() does — ICP, profile-guided inlining, hardening,
- * audit — but schedules the per-function work of every stage as jobs
- * over the runtime ThreadPool/JobGraph, with the invariant that the
- * resulting module is *bit-identical* (moduleDigest()) for any worker
- * count, including --jobs 1. Determinism comes from three rules:
- *
- *  1. Decisions are serial, mutations are parallel. Every stage plans
- *     on one thread (ICP site selection, inline round selection,
- *     shard assignment) and only fans out function-local rewrites
- *     whose inputs are frozen for the duration of the fan-out.
- *  2. No allocator contention: fresh SiteIds are pre-assigned at plan
- *     time in the order the serial algorithm would have drawn them
- *     (opt::planIcp, opt::inlineCallSiteWithIds), so ids never depend
- *     on scheduling.
- *  3. Merges are ordered: profile updates happen serially in plan
- *     order, shard results (coverage counts, diagnostics) concatenate
- *     in FuncId order.
- *
- * Stage-level pipelining: the stages are not globally barriered.
- * Before any rewrite, the pipeline partitions functions into
- * *participants* — any function that ICP or the inliner could read or
- * write (callers and callees of profiled direct call sites, callers
- * and profiled targets of profiled indirect sites) — and the *quiet*
- * remainder, which no optimization pass will touch. Quiet functions
- * are hardened and audited in the same JobGraph as the ICP rewrites,
- * so for a typical kernel-shaped profile (a hot minority of
- * functions) most of the hardening/audit work overlaps the ICP stage
- * instead of waiting behind the inliner. Participants are hardened
- * and audited after the inliner finishes, and the module-wide audit
- * tail itself fans out via check::runChecksParallel. The schedule is
- * the same at every worker count, so bit-identity is preserved.
- *
- * The inliner here is the round-based parallel formulation of PIBE's
- * greedy weight-ordered inliner (§5.2): each round selects, in weight
- * order, a maximal set of candidates whose callers are pairwise
- * distinct and whose callees are not mutated in the same round
- * (callers are written, callees only read), applies them concurrently,
- * then serially propagates constant-ratio inherited weights and
- * re-queues inherited candidates. Rules 1–3 and the constant-ratio
- * heuristic are unchanged; only the interleaving differs from the
- * strictly-serial greedy order, and it differs deterministically.
- * Hardening a quiet function early cannot change an inline decision:
- * hardening is function-local, inserts no call instructions, and
- * allocates no SiteIds, so the call graph, the cost cache, and the
- * candidate set the inliner sees are those of the un-hardened module.
- *
- * The audit stage runs check::runFunctionChecks per shard with one
- * private AnalysisManager per job, then the module-wide obligations
- * (site-id uniqueness, coverage reconciliation, feasible-target
- * validation) through runChecksParallel on the same pool. Each
- * shard's audit is scheduled as a JobGraph dependent of that shard's
- * hardening job, so auditing overlaps hardening across shards.
- *
- * Small-module regime: JobGraph admission and pool wake-ups cost more
- * than they save below a few thousand instructions. When the module
- * is smaller than `serial_below_insts` (or jobs <= 1), every fan-out
- * point executes its job bodies inline, in add order — exactly the
- * serial schedule, so the digest is unchanged — and no pool is
- * created or touched. Callers that build many images (scalebench)
- * can also inject a pre-warmed pool via `pool` so thread start-up is
- * paid once per process instead of once per build.
+ * moduleDigest() is what the Linux-scale tooling (`pibe scalebench`,
+ * perfbench's linux-scale workload) records to prove that two builds
+ * produced the same image. The header keeps its historical path
+ * because the benchmark in perfbench/ includes it; it moves to a
+ * better name together with the next change to the benchmark.
  */
 #ifndef PIBE_SCALE_PARALLEL_PIPELINE_H_
 #define PIBE_SCALE_PARALLEL_PIPELINE_H_
 
-#include <cstdint>
 #include <string>
 
-#include "check/checks.h"
-#include "harden/harden.h"
 #include "ir/module.h"
-#include "opt/icp.h"
-#include "opt/inliner.h"
-#include "profile/edge_profile.h"
-
-namespace pibe::runtime {
-class ThreadPool;
-}
 
 namespace pibe::scale {
-
-/** Knobs for buildImageParallel(). */
-struct ParallelPipelineConfig
-{
-    /** Worker threads. 1 runs the identical algorithm serially. */
-    size_t jobs = 1;
-    /** Functions per harden/check shard job. */
-    size_t shard_size = 64;
-
-    /**
-     * Pre-warmed pool to run on instead of creating one per build.
-     * The pool's thread count wins over `jobs` for scheduling; `jobs`
-     * still gates the serial bypass (jobs <= 1 always runs inline).
-     */
-    runtime::ThreadPool* pool = nullptr;
-
-    /**
-     * Below this many instructions the JobGraph/pool machinery costs
-     * more than it saves: run every fan-out inline (same schedule,
-     * same digest) and leave the pool untouched. 0 disables the
-     * bypass.
-     */
-    uint64_t serial_below_insts = 4096;
-
-    bool enable_icp = true;
-    opt::IcpConfig icp;
-
-    bool enable_inline = true;
-    opt::PibeInlinerConfig inline_cfg;
-
-    harden::DefenseConfig defenses;
-
-    /** Run the parallel audit stage after hardening. */
-    bool run_checks = true;
-};
-
-/**
- * Per-stage timing, for BENCH_scale.json curves. Stages overlap —
- * quiet-function hardening/audit runs inside the ICP fan-out — so
- * the wall fields are observable boundaries, not a partition:
- * icp_ms covers serial planning plus the fused ICP+quiet graph,
- * harden_ms the post-inline participant graph plus coverage
- * analysis, and check_ms the span from the first audit job to the
- * end of the module-wide tail.
- */
-struct StageTiming
-{
-    double plan_ms = 0; ///< Serial ICP planning (incl. feasibility).
-    double icp_ms = 0;
-    double inline_ms = 0;
-    double harden_ms = 0;
-    double check_ms = 0;
-    double total_ms = 0; ///< Whole build, wall.
-    double cpu_ms = 0;   ///< Whole build, process CPU (user+sys).
-};
-
-/** Everything one parallel build reports. */
-struct ParallelPipelineReport
-{
-    opt::IcpAudit icp;
-    opt::InlineAudit inlining;
-    uint32_t inline_rounds = 0; ///< Rounds of the parallel inliner.
-    harden::CoverageReport coverage;
-    uint64_t baseline_image_size = 0;
-    uint64_t image_size = 0;
-
-    /** Audit stage (diags in FuncId order, module-wide last). */
-    check::CheckReport checks;
-    /** Analyses computed / served from cache across all audit shards. */
-    size_t analyses_computed = 0;
-    size_t analyses_reused = 0;
-
-    /** True if the small-module bypass ran everything inline. */
-    bool serial_bypass = false;
-    /** Worker threads actually scheduling jobs (1 under the bypass). */
-    size_t jobs_used = 1;
-    /** Functions the optimization passes can touch / cannot touch. */
-    size_t participant_funcs = 0;
-    size_t quiet_funcs = 0;
-
-    StageTiming timing;
-    /** The profile as transformed by the passes. */
-    profile::EdgeProfile final_profile;
-};
-
-/**
- * Derive a production image from `linked` using `profile` with
- * `config.jobs` workers. The input module is copied; the profile is
- * copied and transformed internally. The returned module's
- * moduleDigest() is independent of `config.jobs`.
- */
-ir::Module buildImageParallel(const ir::Module& linked,
-                              const profile::EdgeProfile& profile,
-                              const ParallelPipelineConfig& config,
-                              ParallelPipelineReport* report = nullptr);
 
 /**
  * Content digest of a module (32 hex chars): every function header,
  * instruction operand, global, and the site-id bound, streamed through
  * runtime::Digest in one walk — O(1) extra memory. Two modules with
- * equal digests are structurally identical for all pipeline purposes;
- * scalebench uses this to prove serial/parallel bit-identity.
+ * equal digests are structurally identical for all pipeline purposes.
  */
 std::string moduleDigest(const ir::Module& module);
 

@@ -33,44 +33,6 @@ specIndexOfOp(DecodedOp op)
 
 } // namespace
 
-uint64_t
-estimateDecodedBytes(const ir::Module& module)
-{
-    uint64_t insts = 0, blocks = 0, args = 0;
-    uint64_t sorted_cases = 0, dense_slots = 0;
-    for (const ir::Function& f : module.functions()) {
-        blocks += f.blocks.size();
-        for (const ir::BasicBlock& bb : f.blocks) {
-            insts += bb.insts.size();
-            for (const ir::Instruction& inst : bb.insts) {
-                args += inst.args.size();
-                if (inst.op != ir::Opcode::kSwitch)
-                    continue;
-                // Mirror decode's duplicate-value collapse and its
-                // dense-vs-sorted dispatch choice.
-                std::vector<int64_t> values = inst.case_values;
-                std::sort(values.begin(), values.end());
-                values.erase(std::unique(values.begin(), values.end()),
-                             values.end());
-                if (values.empty())
-                    continue;
-                const uint64_t range =
-                    static_cast<uint64_t>(values.back()) -
-                    static_cast<uint64_t>(values.front()) + 1;
-                if (denseWorthIt(range, values.size()))
-                    dense_slots += range;
-                else
-                    sorted_cases += values.size();
-            }
-        }
-    }
-    return insts * (sizeof(DecodedInst) + sizeof(DecodedAux)) +
-           blocks * sizeof(BlockTarget) + args * sizeof(ir::Reg) +
-           sorted_cases * sizeof(SwitchCase) +
-           dense_slots * sizeof(uint32_t) +
-           module.numFunctions() * sizeof(DecodedFunction);
-}
-
 const char*
 fusedFamilyName(FusedFamily family)
 {

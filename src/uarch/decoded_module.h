@@ -223,16 +223,6 @@ constexpr size_t kNumFusedFamilies =
 
 const char* fusedFamilyName(FusedFamily family);
 
-/**
- * Bytes DecodedModule(module) would hold, computed in one streaming
- * walk over the IR — no layout, no decoded tables, O(1) extra memory.
- * Matches DecodedModule::decodedBytes() exactly (same table-size
- * accounting, including the dense-vs-sorted switch dispatch choice),
- * so scale benchmarks can report projected simulator memory for
- * 10^6-instruction modules without paying the decode allocation.
- */
-uint64_t estimateDecodedBytes(const ir::Module& module);
-
 /** Family of a fused opcode (op must satisfy isFusedOp). */
 constexpr FusedFamily
 fusedFamilyOf(DecodedOp op)

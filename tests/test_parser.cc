@@ -212,5 +212,32 @@ TEST(ParserDeath, TrailingGarbage)
                  "trailing tokens");
 }
 
+// Oversized literals and a lone '-' are line-numbered parse errors,
+// not exceptions escaping the parser.
+TEST(ParserDeath, IntegerOutOfRange)
+{
+    EXPECT_DEATH(ir::parseModule("func @f(params=0, regs=1, frame=0) {\n"
+                                 "bb0:\n"
+                                 "    ret !site 99999999999999999999\n"
+                                 "}\n"),
+                 "PIR parse error at line 3: integer out of range");
+    EXPECT_DEATH(ir::parseModule("func @f(params=0, regs=1, frame=0) {\n"
+                                 "bb0:\n"
+                                 "    r0 = const -99999999999999999999\n"
+                                 "    ret !site 0\n"
+                                 "}\n"),
+                 "PIR parse error at line 3: integer out of range");
+}
+
+TEST(ParserDeath, LoneMinusIsNotAnInteger)
+{
+    EXPECT_DEATH(ir::parseModule("func @f(params=0, regs=1, frame=0) {\n"
+                                 "bb0:\n"
+                                 "    r0 = const -\n"
+                                 "    ret !site 0\n"
+                                 "}\n"),
+                 "PIR parse error at line 3: expected integer");
+}
+
 } // namespace
 } // namespace pibe

@@ -108,12 +108,21 @@ TEST(RuntimeThreadPool, StopCancelDropsQueuedWork)
     // break the dropped tasks' futures instead of leaving them hung.
     std::mutex mu;
     std::condition_variable cv;
+    bool started = false;
     bool release = false;
     ThreadPool pool(1);
     auto blocker = pool.submit([&] {
         std::unique_lock<std::mutex> lock(mu);
+        started = true;
+        cv.notify_all();
         cv.wait(lock, [&] { return release; });
     });
+    // Wait until the worker has dequeued the blocker: only then are
+    // all 50 tasks below guaranteed to sit in the queue at stop().
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return started; });
+    }
     std::vector<std::future<void>> queued;
     for (int i = 0; i < 50; ++i)
         queued.push_back(pool.submit([] {}));

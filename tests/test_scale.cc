@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for src/scale: the Linux-scale synthetic module generator, the
- * synthetic flow-conserving profile, the streaming size estimators,
- * and the parallel incremental pipeline's bit-identity guarantee
- * (moduleDigest independent of the worker count).
+ * synthetic flow-conserving profile, the streaming image-size
+ * estimator, and the incremental pass sandwich of core::buildImage on
+ * a generated module.
  */
 #include <gtest/gtest.h>
 
@@ -13,12 +13,11 @@
 #include "ir/printer.h"
 #include "ir/parser.h"
 #include "ir/verifier.h"
+#include "pibe/pipeline.h"
 #include "profile/serialize.h"
-#include "runtime/thread_pool.h"
 #include "scale/parallel_pipeline.h"
 #include "scale/scale_builder.h"
 #include "scale/synthetic_profile.h"
-#include "uarch/decoded_module.h"
 
 namespace pibe {
 namespace {
@@ -93,50 +92,16 @@ TEST(ScaleEstimators, StreamingSizesMatchMaterializedOnes)
     const ir::Module m = scale::buildScaleModule(smallConfig());
     EXPECT_EQ(analysis::imageSizeOf(m),
               analysis::CodeLayout(m).imageSize());
-    EXPECT_EQ(uarch::estimateDecodedBytes(m),
-              uarch::DecodedModule(m).decodedBytes());
 
     // Still equal after the pipeline reshapes the module (promoted
-    // calls, inlined bodies, lowered switches).
-    scale::ParallelPipelineConfig cfg;
-    cfg.defenses = harden::DefenseConfig::all();
-    cfg.run_checks = false;
-    const ir::Module image = scale::buildImageParallel(
-        m, scale::synthesizeProfile(m), cfg);
+    // calls, inlined bodies, hardened sites).
+    core::OptConfig opt;
+    opt.sandwich = false;
+    const ir::Module image =
+        core::buildImage(m, scale::synthesizeProfile(m), opt,
+                         harden::DefenseConfig::all());
     EXPECT_EQ(analysis::imageSizeOf(image),
               analysis::CodeLayout(image).imageSize());
-    EXPECT_EQ(uarch::estimateDecodedBytes(image),
-              uarch::DecodedModule(image).decodedBytes());
-}
-
-TEST(ScalePipeline, ParallelImageIsBitIdenticalToSerial)
-{
-    const ir::Module m = scale::buildScaleModule(smallConfig());
-    const profile::EdgeProfile prof = scale::synthesizeProfile(m);
-
-    scale::ParallelPipelineConfig cfg;
-    cfg.defenses = harden::DefenseConfig::all();
-
-    cfg.jobs = 1;
-    scale::ParallelPipelineReport serial_rep;
-    const ir::Module serial =
-        scale::buildImageParallel(m, prof, cfg, &serial_rep);
-
-    cfg.jobs = 4;
-    scale::ParallelPipelineReport par_rep;
-    const ir::Module parallel =
-        scale::buildImageParallel(m, prof, cfg, &par_rep);
-
-    EXPECT_EQ(scale::moduleDigest(serial),
-              scale::moduleDigest(parallel));
-    // And the pipeline actually did something.
-    EXPECT_NE(scale::moduleDigest(serial), scale::moduleDigest(m));
-    EXPECT_GT(serial_rep.icp.promoted_sites, 0u);
-    EXPECT_GT(serial_rep.inlining.inlined_sites, 0u);
-    EXPECT_EQ(serial_rep.inlining.inlined_sites,
-              par_rep.inlining.inlined_sites);
-    EXPECT_GT(serial_rep.coverage.protected_icalls, 0u);
-    EXPECT_GT(serial_rep.coverage.protected_rets, 0u);
 }
 
 TEST(ScalePipeline, AuditIsCleanAndIncremental)
@@ -144,77 +109,24 @@ TEST(ScalePipeline, AuditIsCleanAndIncremental)
     const ir::Module m = scale::buildScaleModule(smallConfig());
     const profile::EdgeProfile prof = scale::synthesizeProfile(m);
 
-    scale::ParallelPipelineConfig cfg;
-    cfg.defenses = harden::DefenseConfig::all();
-    cfg.jobs = 3;
-    scale::ParallelPipelineReport rep;
-    const ir::Module image =
-        scale::buildImageParallel(m, prof, cfg, &rep);
+    core::BuildReport rep;
+    const ir::Module image = core::buildImage(
+        m, prof, core::OptConfig{}, harden::DefenseConfig::all(), &rep);
 
-    EXPECT_EQ(rep.checks.errors(), 0u)
-        << rep.checks.diags.front().render();
+    EXPECT_EQ(check::countSeverity(rep.sandwich, check::Severity::kError),
+              0u);
+    // The pipeline actually did something.
+    EXPECT_NE(scale::moduleDigest(image), scale::moduleDigest(m));
+    EXPECT_GT(rep.icp.promoted_sites, 0u);
+    EXPECT_GT(rep.inlining.inlined_sites, 0u);
+    EXPECT_GT(rep.coverage.protected_icalls, 0u);
+    EXPECT_GT(rep.coverage.protected_rets, 0u);
+    // One AnalysisManager spans every sandwich stage, so functions no
+    // pass touched are audited from cache.
     EXPECT_GT(rep.analyses_computed, 0u);
-    // Shard-local AnalysisManagers serve each function's repeated
-    // analyses from cache across the per-function check suite.
     EXPECT_GT(rep.analyses_reused, 0u);
     EXPECT_GT(rep.image_size, rep.baseline_image_size);
     EXPECT_EQ(rep.image_size, analysis::imageSizeOf(image));
-}
-
-// The small-module bypass and a caller-injected warm pool are pure
-// scheduling changes: digest, audit, and coverage must be identical
-// to the pooled build, and the report must say which path ran.
-TEST(ScalePipeline, SerialBypassAndInjectedPoolAreBitIdentical)
-{
-    const ir::Module m = scale::buildScaleModule(smallConfig());
-    const profile::EdgeProfile prof = scale::synthesizeProfile(m);
-
-    scale::ParallelPipelineConfig cfg;
-    cfg.defenses = harden::DefenseConfig::all();
-    cfg.jobs = 4;
-
-    // Pooled run (threshold below the module size).
-    cfg.serial_below_insts = 0;
-    scale::ParallelPipelineReport pooled_rep;
-    const ir::Module pooled =
-        scale::buildImageParallel(m, prof, cfg, &pooled_rep);
-    EXPECT_FALSE(pooled_rep.serial_bypass);
-    EXPECT_EQ(pooled_rep.jobs_used, 4u);
-
-    // Bypass run (threshold above the module size): same digest.
-    cfg.serial_below_insts = 1u << 30;
-    scale::ParallelPipelineReport bypass_rep;
-    const ir::Module bypassed =
-        scale::buildImageParallel(m, prof, cfg, &bypass_rep);
-    EXPECT_TRUE(bypass_rep.serial_bypass);
-    EXPECT_EQ(bypass_rep.jobs_used, 1u);
-    EXPECT_EQ(scale::moduleDigest(pooled), scale::moduleDigest(bypassed));
-    EXPECT_EQ(check::renderText(pooled_rep.checks.diags),
-              check::renderText(bypass_rep.checks.diags));
-    EXPECT_EQ(pooled_rep.inlining.inlined_sites,
-              bypass_rep.inlining.inlined_sites);
-    EXPECT_EQ(pooled_rep.coverage.protected_icalls,
-              bypass_rep.coverage.protected_icalls);
-
-    // Injected warm pool: pool size wins over cfg.jobs.
-    runtime::ThreadPool pool(3);
-    cfg.serial_below_insts = 0;
-    cfg.pool = &pool;
-    scale::ParallelPipelineReport inj_rep;
-    const ir::Module injected =
-        scale::buildImageParallel(m, prof, cfg, &inj_rep);
-    EXPECT_FALSE(inj_rep.serial_bypass);
-    EXPECT_EQ(inj_rep.jobs_used, 3u);
-    EXPECT_EQ(scale::moduleDigest(pooled), scale::moduleDigest(injected));
-
-    // The quiet/participant partition covered every function, and the
-    // build's stage clock ran.
-    EXPECT_EQ(pooled_rep.quiet_funcs + pooled_rep.participant_funcs,
-              static_cast<size_t>(m.numFunctions()));
-    EXPECT_GT(pooled_rep.quiet_funcs, 0u);
-    EXPECT_GT(pooled_rep.participant_funcs, 0u);
-    EXPECT_GT(pooled_rep.timing.total_ms, 0.0);
-    EXPECT_GT(pooled_rep.timing.cpu_ms, 0.0);
 }
 
 } // namespace

@@ -220,10 +220,12 @@ TEST(ServeBatcher, CoalescesConcurrentCallers)
 TEST(ServeBatcher, LeaderExceptionReachesFollowers)
 {
     Batcher<int> batcher;
+    std::atomic<bool> leader_in{false};
     std::atomic<bool> follower_in{false};
     std::thread leader([&] {
         EXPECT_THROW(batcher.run("k",
                                  [&]() -> int {
+                                     leader_in.store(true);
                                      while (!follower_in.load())
                                          std::this_thread::yield();
                                      std::this_thread::sleep_for(
@@ -234,6 +236,10 @@ TEST(ServeBatcher, LeaderExceptionReachesFollowers)
                      std::runtime_error);
     });
     std::thread follower([&] {
+        // Enter only once the leader owns the flight, so this thread
+        // can never become the leader the other one joins.
+        while (!leader_in.load())
+            std::this_thread::yield();
         follower_in.store(true);
         try {
             BatchRole role;

@@ -12,14 +12,16 @@
 # committed at the repo root.
 #
 # --scale gates BENCH_scale.json artifacts (written by
-# `pibe scalebench`): the serial pipeline build time of the
-# 10^5-instruction module must not exceed the baseline's by more than
-# the margin (PIBE_SCALE_MARGIN, default 1.5 — wall-clock on a shared
-# or cross-machine runner is far noisier than the interpreter's
-# peak-window throughput, so this is a coarse guard against
+# `pibe scalebench`). Hard gate: every measured row's image digest
+# must equal the baseline row of the same size, and the seeds must
+# match — the build is deterministic, so any difference is a changed
+# image, not noise. Coarse gate: the 10^5-instruction build time must
+# not exceed the baseline's by more than the margin
+# (PIBE_SCALE_MARGIN, default 1.5 — wall-clock on a shared or
+# cross-machine runner is far noisier than the interpreter's
+# peak-window throughput, so this only guards against
 # order-of-magnitude blow-ups; tighten the margin locally when
-# comparing against a baseline regenerated on the same idle box), and
-# every serial-vs-parallel digest comparison must have matched.
+# comparing against a baseline regenerated on the same idle box).
 #
 # The 10% margin absorbs run-to-run noise on shared CI runners (the
 # interpreter benchmark already reports a peak window, which removes
@@ -51,20 +53,28 @@ def row_at(doc, insts):
     for row in doc["sizes"]:
         if row.get("target_insts") == insts:
             return row
-    sys.exit(f"FAIL: no {insts}-inst row in scalebench artifact")
+    sys.exit(f"FAIL: no {insts}-inst row in a scalebench artifact")
 
 new_doc, base_doc = load(new_path), load(base_path)
 
-if not new_doc.get("all_digests_match", False):
-    print("FAIL: serial vs parallel image digests diverged",
-          file=sys.stderr)
-    sys.exit(1)
+if new_doc.get("seed") != base_doc.get("seed"):
+    sys.exit(f"FAIL: seed {new_doc.get('seed')} differs from the "
+             f"baseline's {base_doc.get('seed')}; digests are not "
+             "comparable")
+for row in new_doc["sizes"]:
+    insts = row["target_insts"]
+    want = row_at(base_doc, insts)["digest"]
+    print(f"digest @ {insts}: measured {row['digest']}, baseline {want}")
+    if row["digest"] != want:
+        print(f"FAIL: image digest at {insts} insts differs from the "
+              "checked-in baseline", file=sys.stderr)
+        sys.exit(1)
 
 GATE_INSTS = 100000
-new_ms = row_at(new_doc, GATE_INSTS)["serial_build_ms"]
-base_ms = row_at(base_doc, GATE_INSTS)["serial_build_ms"]
+new_ms = row_at(new_doc, GATE_INSTS)["build_ms"]
+base_ms = row_at(base_doc, GATE_INSTS)["build_ms"]
 ceiling = base_ms * margin
-print(f"serial_build_ms @ 10^5: measured {new_ms:.0f}, "
+print(f"build_ms @ 10^5: measured {new_ms:.0f}, "
       f"baseline {base_ms:.0f}, ceiling {ceiling:.0f} "
       f"({margin:.0%} of baseline)")
 if new_ms > ceiling:

@@ -20,8 +20,7 @@
  *   pibe check    -m file.pir [-p prof.txt] [--defense NAME]
  *                 [--checks verify,lint,coverage,profile,targets]
  *                 [--json] [--fail-on note|warn|error] [--roots a,b,c]
- *                 [--allow-func f,g] [--allow-site 1,2]
- *                 [--jobs N] [--timing]
+ *                 [--allow-func f,g] [--allow-site 1,2] [--timing]
  *   pibe surface  -m file.pir [-p prof.txt] [--json FILE]
  *                 [--max-targets N] [--fail-on note|warn|error]
  *                 [--roots a,b,c]
@@ -42,10 +41,11 @@
  *                 [--profile prof.txt] [--depth N] [--fanout F]
  *                 [--icalls-per-kinst F] [--ops-per-table N]
  *                 [--entry-points N] [--mix core,fs,net,drivers]
- *   pibe scalebench [--sizes N,N,...] [--seed S] [--jobs N]
- *                 [--out BENCH_scale.json] [--stage-profile]
- *                 [--serial-below N]
+ *   pibe scalebench [--sizes N,N,...] [--seed S]
+ *                 [--out BENCH_scale.json]
  *   pibe selftest            (end-to-end smoke of all subcommands)
+ *
+ * `check` and `scalebench` reject options they do not know.
  */
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -133,6 +133,15 @@ class Args
             }
         }
         return false;
+    }
+
+    /** Die on the first argument no get()/has() call consumed. */
+    void
+    rejectUnused(const std::string& cmd)
+    {
+        for (size_t i = 0; i < args_.size(); ++i)
+            if (!used_[i])
+                PIBE_FATAL(cmd, ": unknown option '", args_[i], "'");
     }
 
   private:
@@ -733,28 +742,18 @@ cmdCheck(Args& args)
         PIBE_FATAL("unknown --fail-on '", fail_on,
                    "' (expected note, warn, or error)");
 
-    const size_t jobs =
-        std::max<size_t>(1, std::stoul(args.get("--jobs", "1")));
+    const bool timing = args.has("--timing");
+    const bool json = args.has("--json");
+    args.rejectUnused("check");
 
     // The shared policy gate: CLI, in-process engine callers, and the
     // serve daemon all decide pass/fail through runChecksWithPolicy,
-    // so --fail-on semantics cannot drift between entry points. With
-    // --jobs > 1 the per-function groups fan out over a thread pool;
-    // the sorted report is byte-identical at every jobs count.
+    // so --fail-on semantics cannot drift between entry points.
     check::AnalysisManager am(m);
-    check::CheckOutcome outcome;
-    outcome.fail_on = *threshold;
-    if (jobs > 1) {
-        runtime::ThreadPool pool(jobs);
-        outcome.report =
-            check::runChecksParallel(m, opts, pool, 64, &am);
-        outcome.passed = outcome.report.ok(*threshold);
-    } else {
-        outcome = check::runChecksWithPolicy(m, opts, *threshold, &am);
-    }
+    check::CheckOutcome outcome =
+        check::runChecksWithPolicy(m, opts, *threshold, &am);
     // Canonical emission order: checkers append group-by-group, so
-    // without this the order would leak scheduling details into the
-    // JSON consumed by CI diffs.
+    // without this the order would depend on which groups ran.
     check::sortDiagnostics(outcome.report.diags);
     const check::CheckReport& report = outcome.report;
 
@@ -762,9 +761,9 @@ cmdCheck(Args& args)
     // counters, as one JSON object (merged into BENCH_scale.json by
     // tools/run_all_tables.sh when requested).
     std::string timing_json;
-    if (args.has("--timing")) {
+    if (timing) {
         std::ostringstream t;
-        t << "{\"jobs\":" << jobs << ",\"groups\":[";
+        t << "{\"groups\":[";
         for (size_t i = 0; i < report.group_ms.size(); ++i) {
             if (i)
                 t << ",";
@@ -794,7 +793,7 @@ cmdCheck(Args& args)
         timing_json = t.str();
     }
 
-    if (args.has("--json")) {
+    if (json) {
         std::printf("{\"module\":\"%s\",\"errors\":%zu,"
                     "\"warnings\":%zu,\"notes\":%zu,"
                     "\"passed\":%s,%s\"diagnostics\":%s}\n",
@@ -944,33 +943,16 @@ cmdGenkernel(Args& args)
     return 0;
 }
 
-/** One StageTiming as a JSON object (for --stage-profile rows). */
-std::string
-stageTimingJson(const scale::StageTiming& t)
-{
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "{\"plan_ms\":%.1f,\"icp_ms\":%.1f,"
-                  "\"inline_ms\":%.1f,\"harden_ms\":%.1f,"
-                  "\"check_ms\":%.1f,\"total_ms\":%.1f,"
-                  "\"cpu_ms\":%.1f}",
-                  t.plan_ms, t.icp_ms, t.inline_ms, t.harden_ms,
-                  t.check_ms, t.total_ms, t.cpu_ms);
-    return buf;
-}
-
 /**
  * One fork-isolated scalebench measurement: generate a module of
  * `insts` instructions, synthesize its profile, build the hardened
- * image serially and with `jobs` workers, and write one JSON object
- * with timings, digests, and audit counters to `fd`. Runs in the
- * child so the parent can read peak RSS from wait4(). The worker pool
- * is created once, before any timed region, so the parallel
- * measurement reflects scheduling cost, not thread start-up.
+ * image with core::buildImage at `pibe optimize`'s defaults, and write
+ * one JSON object with timings, the image digest, and audit counters
+ * to `fd`. Runs in the child so the parent can read peak RSS from
+ * wait4().
  */
 void
-runScalebenchChild(uint64_t insts, uint64_t seed, size_t jobs,
-                   uint64_t serial_below, bool stage_profile, int fd)
+runScalebenchChild(uint64_t insts, uint64_t seed, int fd)
 {
     using Clock = std::chrono::steady_clock;
     auto ms = [](Clock::time_point a, Clock::time_point b) {
@@ -991,82 +973,38 @@ runScalebenchChild(uint64_t insts, uint64_t seed, size_t jobs,
     profile::EdgeProfile prof = scale::synthesizeProfile(m, pcfg);
     const Clock::time_point t2 = Clock::now();
 
-    // Warm the pool before the first timed build.
-    runtime::ThreadPool pool(std::max<size_t>(2, jobs));
-
-    scale::ParallelPipelineConfig pc;
-    pc.defenses = harden::DefenseConfig::all();
-    pc.serial_below_insts = serial_below;
-    pc.jobs = 1;
-    scale::ParallelPipelineReport serial_rep;
-    std::string serial_digest;
+    core::OptConfig opt;
+    opt.icp_budget = 0.99999;
+    opt.inline_budget = 0.999999;
+    core::BuildReport rep;
+    const ir::Module image = core::buildImage(
+        m, prof, opt, harden::DefenseConfig::all(), &rep);
     const Clock::time_point t3 = Clock::now();
-    {
-        ir::Module image =
-            scale::buildImageParallel(m, prof, pc, &serial_rep);
-        serial_digest = scale::moduleDigest(image);
-    } // image freed here: peak RSS reflects one in-flight image
-    const Clock::time_point t4 = Clock::now();
+    const std::string digest = scale::moduleDigest(image);
 
-    pc.jobs = jobs;
-    pc.pool = &pool;
-    scale::ParallelPipelineReport par_rep;
-    std::string par_digest;
-    const Clock::time_point t5 = Clock::now();
-    {
-        ir::Module image =
-            scale::buildImageParallel(m, prof, pc, &par_rep);
-        par_digest = scale::moduleDigest(image);
-    }
-    const Clock::time_point t6 = Clock::now();
-
-    const double serial_ms = ms(t3, t4);
-    const double par_ms = ms(t5, t6);
-    std::string stages;
-    if (stage_profile) {
-        stages = "\"stages\":{\"serial\":" +
-                 stageTimingJson(serial_rep.timing) +
-                 ",\"parallel\":" + stageTimingJson(par_rep.timing) +
-                 "},";
-    }
     dprintf(
         fd,
         "{\"target_insts\":%llu,\"insts\":%llu,\"functions\":%llu,"
         "\"icall_sites\":%llu,"
-        "\"gen_ms\":%.1f,\"profile_ms\":%.1f,"
-        "\"serial_build_ms\":%.1f,\"parallel_build_ms\":%.1f,"
-        "\"speedup\":%.2f,"
-        "\"jobs_used\":%llu,\"serial_bypass\":%s,"
-        "\"quiet_funcs\":%llu,\"participant_funcs\":%llu,"
-        "\"icp_ms\":%.1f,\"inline_ms\":%.1f,\"harden_ms\":%.1f,"
-        "\"check_ms\":%.1f,%s\"inline_rounds\":%u,"
+        "\"gen_ms\":%.1f,\"profile_ms\":%.1f,\"build_ms\":%.1f,"
+        "\"promoted_targets\":%u,\"inlined_sites\":%u,"
         "\"analyses_computed\":%llu,\"analyses_reused\":%llu,"
-        "\"check_errors\":%llu,"
+        "\"sandwich_errors\":%llu,"
         "\"baseline_image_size\":%llu,\"image_size\":%llu,"
-        "\"digest\":\"%s\",\"digests_match\":%s}",
+        "\"digest\":\"%s\"}",
         static_cast<unsigned long long>(insts),
         static_cast<unsigned long long>(stats.num_insts),
         static_cast<unsigned long long>(stats.num_functions),
         static_cast<unsigned long long>(stats.icall_sites),
-        ms(t0, t1), ms(t1, t2), serial_ms, par_ms,
-        par_ms > 0 ? serial_ms / par_ms : 0.0,
-        static_cast<unsigned long long>(par_rep.jobs_used),
-        par_rep.serial_bypass ? "true" : "false",
-        static_cast<unsigned long long>(par_rep.quiet_funcs),
-        static_cast<unsigned long long>(par_rep.participant_funcs),
-        serial_rep.timing.icp_ms, serial_rep.timing.inline_ms,
-        serial_rep.timing.harden_ms, serial_rep.timing.check_ms,
-        stages.c_str(), par_rep.inline_rounds,
+        ms(t0, t1), ms(t1, t2), ms(t2, t3),
+        rep.icp.promoted_targets, rep.inlining.inlined_sites,
+        static_cast<unsigned long long>(rep.analyses_computed),
+        static_cast<unsigned long long>(rep.analyses_reused),
         static_cast<unsigned long long>(
-            serial_rep.analyses_computed),
-        static_cast<unsigned long long>(serial_rep.analyses_reused),
-        static_cast<unsigned long long>(
-            serial_rep.checks.errors()),
-        static_cast<unsigned long long>(
-            serial_rep.baseline_image_size),
-        static_cast<unsigned long long>(serial_rep.image_size),
-        serial_digest.c_str(),
-        serial_digest == par_digest ? "true" : "false");
+            check::countSeverity(rep.sandwich, check::Severity::kError)),
+        static_cast<unsigned long long>(rep.baseline_image_size),
+        static_cast<unsigned long long>(rep.image_size),
+        digest.c_str());
 }
 
 int
@@ -1074,19 +1012,11 @@ cmdScalebench(Args& args)
 {
     const std::string out = args.get("--out", "BENCH_scale.json");
     const uint64_t seed = std::stoull(args.get("--seed", "42"));
-    const bool stage_profile = args.has("--stage-profile");
-    const uint64_t serial_below =
-        std::stoull(args.get("--serial-below", "4096"));
-    size_t jobs = std::stoul(args.get("--jobs", "0"));
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs < 2)
-            jobs = 2; // exercise the parallel path even on one core
-    }
     std::vector<uint64_t> sizes;
     for (const std::string& s : splitList(
              args.get("--sizes", "10000,32000,100000,320000,1000000")))
         sizes.push_back(std::stoull(s));
+    args.rejectUnused("scalebench");
     if (sizes.size() < 2)
         PIBE_FATAL("scalebench needs at least two --sizes");
 
@@ -1096,7 +1026,7 @@ cmdScalebench(Args& args)
         long maxrss_kb = 0;
     };
     std::vector<Row> rows;
-    bool all_match = true;
+    bool clean = true;
     for (uint64_t n : sizes) {
         int fds[2];
         if (pipe(fds) != 0)
@@ -1106,8 +1036,7 @@ cmdScalebench(Args& args)
             PIBE_FATAL("fork() failed");
         if (pid == 0) {
             close(fds[0]);
-            runScalebenchChild(n, seed, jobs, serial_below,
-                               stage_profile, fds[1]);
+            runScalebenchChild(n, seed, fds[1]);
             close(fds[1]);
             _exit(0);
         }
@@ -1130,19 +1059,16 @@ cmdScalebench(Args& args)
         Row row;
         row.json = *json;
         row.maxrss_kb = ru.ru_maxrss; // Linux reports KiB
-        all_match = all_match && row.json["digests_match"].asBool();
-        std::printf("  %8llu insts: gen %6.0f ms, build %7.0f ms "
-                    "(x%.2f with %zu jobs), rss %ld MiB, errors %lld, "
-                    "digests %s\n",
+        const int64_t errors = row.json["sandwich_errors"].asInt();
+        clean = clean && errors == 0;
+        std::printf("  %8llu insts: gen %6.0f ms, build %7.0f ms, "
+                    "rss %ld MiB, errors %lld, digest %s\n",
                     static_cast<unsigned long long>(n),
                     row.json["gen_ms"].asDouble(),
-                    row.json["serial_build_ms"].asDouble(),
-                    row.json["speedup"].asDouble(), jobs,
+                    row.json["build_ms"].asDouble(),
                     row.maxrss_kb / 1024,
-                    static_cast<long long>(
-                        row.json["check_errors"].asInt()),
-                    row.json["digests_match"].asBool() ? "match"
-                                                       : "DIFFER");
+                    static_cast<long long>(errors),
+                    row.json["digest"].asString().c_str());
         rows.push_back(std::move(row));
     }
 
@@ -1159,9 +1085,8 @@ cmdScalebench(Args& args)
         if (n_ratio <= 1)
             continue;
         const double t_ratio =
-            rows[i].json["serial_build_ms"].asDouble() /
-            std::max(1.0,
-                     rows[i - 1].json["serial_build_ms"].asDouble());
+            rows[i].json["build_ms"].asDouble() /
+            std::max(1.0, rows[i - 1].json["build_ms"].asDouble());
         const double r_ratio =
             static_cast<double>(rows[i].maxrss_kb) /
             std::max(1.0, static_cast<double>(rows[i - 1].maxrss_kb));
@@ -1173,35 +1098,17 @@ cmdScalebench(Args& args)
         max_rss_exp = std::max(max_rss_exp, rss_exps[i]);
     }
 
-    // Parallel-over-serial crossover: the smallest size whose
-    // parallel build beat the serial one without the bypass engaging.
-    uint64_t crossover = 0;
-    for (const Row& row : rows) {
-        if (!row.json["serial_bypass"].asBool() &&
-            row.json["speedup"].asDouble() > 1.0) {
-            crossover =
-                static_cast<uint64_t>(row.json["insts"].asDouble());
-            break;
-        }
-    }
-
     std::FILE* f = std::fopen(out.c_str(), "w");
     if (!f)
         PIBE_FATAL("cannot write ", out);
     std::fprintf(f,
                  "{\n  \"bench\": \"scale\",\n  \"seed\": %llu,\n"
-                 "  \"jobs\": %zu,\n  \"nproc\": %u,\n"
-                 "  \"serial_below_insts\": %llu,\n"
-                 "  \"crossover_insts\": %llu,\n"
-                 "  \"all_digests_match\": %s,\n"
+                 "  \"nproc\": %u,\n"
                  "  \"max_time_scaling_exponent\": %.2f,\n"
                  "  \"max_rss_scaling_exponent\": %.2f,\n"
                  "  \"sizes\": [\n",
-                 static_cast<unsigned long long>(seed), jobs,
-                 std::thread::hardware_concurrency(),
-                 static_cast<unsigned long long>(serial_below),
-                 static_cast<unsigned long long>(crossover),
-                 all_match ? "true" : "false", max_time_exp,
+                 static_cast<unsigned long long>(seed),
+                 std::thread::hardware_concurrency(), max_time_exp,
                  max_rss_exp);
     for (size_t i = 0; i < rows.size(); ++i) {
         serve::Json j = rows[i].json;
@@ -1220,10 +1127,10 @@ cmdScalebench(Args& args)
     std::fclose(f);
 
     std::printf("wrote %s (max time exponent %.2f, max rss exponent "
-                "%.2f, digests %s)\n",
+                "%.2f, %s)\n",
                 out.c_str(), max_time_exp, max_rss_exp,
-                all_match ? "all match" : "MISMATCH");
-    return all_match ? 0 : 1;
+                clean ? "sandwich clean" : "SANDWICH ERRORS");
+    return clean ? 0 : 1;
 }
 
 /** Signal target of `pibe serve` (one daemon per process). */

@@ -11,9 +11,9 @@
 # throughput, cold vs warm cache) into the output as well.
 #
 # It also runs `pibe scalebench` (Linux-scale generated modules
-# through the parallel pipeline, serial-vs-parallel digest identity,
-# build-time and peak-RSS curves) and merges its BENCH_scale.json under
-# the same provenance stamp.
+# through core::buildImage: image digests, build-time and peak-RSS
+# curves) and merges its BENCH_scale.json under the same provenance
+# stamp.
 #
 # It also runs `pibe surface` (interprocedural target-set analysis +
 # residual-attack-surface report) over a freshly built paper kernel and
@@ -108,16 +108,15 @@ done
     --op shutdown > /dev/null
 wait "$SERVE_PID"
 
-echo "== scalebench (generated modules, serial vs parallel) =="
-"$BUILD_DIR/tools/pibe" scalebench --jobs "$JOBS" --stage-profile \
-    --out "$SCALE_JSON"
+echo "== scalebench (generated modules through buildImage) =="
+"$BUILD_DIR/tools/pibe" scalebench --out "$SCALE_JSON"
 
-echo "== parallel check sandwich timing (pibe check --jobs --timing) =="
+echo "== check suite timing (pibe check --timing) =="
 "$BUILD_DIR/tools/pibe" genkernel --insts 100000 --seed 42 \
     -o "$WORK/check-scale.pir" --profile "$WORK/check-scale.prof" \
     > /dev/null
 "$BUILD_DIR/tools/pibe" check -m "$WORK/check-scale.pir" \
-    -p "$WORK/check-scale.prof" --jobs "$JOBS" --timing --json \
+    -p "$WORK/check-scale.prof" --timing --json \
     > "$WORK/check-timing.json"
 # Graft the checker timing breakdown into the scale artifact so one
 # file carries the whole pipeline's perf curves.
