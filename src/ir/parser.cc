@@ -2,21 +2,27 @@
 
 #include <cctype>
 #include <charconv>
-#include <sstream>
 #include <unordered_map>
 #include <vector>
 
-#include "support/logging.h"
+#include "ir/printer.h"
 
 namespace pibe::ir {
 
 namespace {
 
-/** Cursor over one line of input with fatal diagnostics. */
+/** A malformed input; thrown by LineCursor::fail, caught only by
+ *  tryParseModule, so it never leaves this file. */
+struct ParseError
+{
+    std::string message;
+};
+
+/** Cursor over one line of the caller's buffer. */
 class LineCursor
 {
   public:
-    LineCursor(const std::string& line, size_t line_no)
+    LineCursor(std::string_view line, size_t line_no)
         : line_(line), line_no_(line_no)
     {
     }
@@ -35,23 +41,26 @@ class LineCursor
         return pos_ >= line_.size();
     }
 
-    /** Consume `literal` if present; returns whether it was. */
+    /** Consume `literal` if present; returns whether it was. Most
+     *  calls fail on the first byte, so compare bytewise. */
     bool
-    tryLiteral(const std::string& literal)
+    tryLiteral(std::string_view literal)
     {
         skipSpace();
-        if (line_.compare(pos_, literal.size(), literal) == 0) {
-            pos_ += literal.size();
-            return true;
-        }
-        return false;
+        if (line_.size() - pos_ < literal.size())
+            return false;
+        for (size_t i = 0; i < literal.size(); ++i)
+            if (line_[pos_ + i] != literal[i])
+                return false;
+        pos_ += literal.size();
+        return true;
     }
 
     void
-    expect(const std::string& literal)
+    expect(std::string_view literal)
     {
         if (!tryLiteral(literal))
-            fail("expected '" + literal + "'");
+            fail("expected '" + std::string(literal) + "'");
     }
 
     int64_t
@@ -59,7 +68,7 @@ class LineCursor
     {
         skipSpace();
         const size_t start = pos_;
-        if (pos_ < line_.size() && (line_[pos_] == '-'))
+        if (pos_ < line_.size() && line_[pos_] == '-')
             ++pos_;
         const size_t digits = pos_;
         while (pos_ < line_.size() && std::isdigit(
@@ -98,48 +107,38 @@ class LineCursor
         return static_cast<BlockId>(parseInt());
     }
 
-    /** Parse "@name". */
-    std::string
+    /** Parse "@name"; the result views the input buffer. */
+    std::string_view
     parseName()
     {
         expect("@");
-        size_t start = pos_;
+        const size_t start = pos_;
         while (pos_ < line_.size()) {
-            char c = line_[pos_];
+            const char c = line_[pos_];
             if (std::isalnum(static_cast<unsigned char>(c)) ||
-                c == '_' || c == '.' || c == '$' || c == '-') {
+                c == '_' || c == '.' || c == '$' || c == '-')
                 ++pos_;
-            } else {
+            else
                 break;
-            }
         }
         if (pos_ == start)
             fail("expected name after '@'");
         return line_.substr(start, pos_ - start);
     }
 
-    /** Peek the rest of the line (for error messages / word checks). */
-    std::string
-    rest()
-    {
-        skipSpace();
-        return line_.substr(pos_);
-    }
-
-    /** Parse a bare word (letters, digits, '-'). */
-    std::string
+    /** Parse a bare word (letters, digits, '-', '_', '/'). */
+    std::string_view
     parseWord()
     {
         skipSpace();
-        size_t start = pos_;
+        const size_t start = pos_;
         while (pos_ < line_.size()) {
-            char c = line_[pos_];
+            const char c = line_[pos_];
             if (std::isalnum(static_cast<unsigned char>(c)) ||
-                c == '-' || c == '_' || c == '/') {
+                c == '-' || c == '_' || c == '/')
                 ++pos_;
-            } else {
+            else
                 break;
-            }
         }
         if (pos_ == start)
             fail("expected word");
@@ -149,225 +148,249 @@ class LineCursor
     [[noreturn]] void
     fail(const std::string& what)
     {
-        PIBE_FATAL("PIR parse error at line ", line_no_, ": ", what,
-                   " near '", line_.substr(pos_, 24), "'");
+        std::string msg = "PIR parse error at line ";
+        msg += std::to_string(line_no_);
+        msg += ": ";
+        msg += what;
+        msg += " near '";
+        msg += line_.substr(pos_, 24);
+        msg += "'";
+        throw ParseError{std::move(msg)};
     }
 
   private:
-    const std::string& line_;
+    std::string_view line_;
     size_t line_no_;
     size_t pos_ = 0;
 };
 
-bool
-binKindFromName(const std::string& word, BinKind* out)
+/** Call fn(line, line_no) for every '\n'-terminated line of `text`,
+ *  the same split std::getline makes: the final line needs no '\n',
+ *  and a trailing '\n' does not start an empty line. */
+template <typename Fn>
+void
+forEachLine(std::string_view text, Fn&& fn)
 {
-    static const std::unordered_map<std::string, BinKind> kMap = {
-        {"add", BinKind::kAdd}, {"sub", BinKind::kSub},
-        {"mul", BinKind::kMul}, {"div", BinKind::kDiv},
-        {"rem", BinKind::kRem}, {"and", BinKind::kAnd},
-        {"or", BinKind::kOr},   {"xor", BinKind::kXor},
-        {"shl", BinKind::kShl}, {"shr", BinKind::kShr},
-        {"eq", BinKind::kEq},   {"ne", BinKind::kNe},
-        {"lt", BinKind::kLt},   {"le", BinKind::kLe},
-        {"gt", BinKind::kGt},   {"ge", BinKind::kGe},
-    };
-    auto it = kMap.find(word);
-    if (it == kMap.end())
-        return false;
-    *out = it->second;
-    return true;
+    size_t line_no = 0;
+    size_t pos = 0;
+    while (pos < text.size()) {
+        size_t nl = text.find('\n', pos);
+        if (nl == std::string_view::npos)
+            nl = text.size();
+        fn(text.substr(pos, nl - pos), ++line_no);
+        pos = nl + 1;
+    }
 }
 
+/** Find the value in [first, last] that `name` prints as `word`. */
+template <typename Enum>
 bool
-fwdSchemeFromName(const std::string& word, FwdScheme* out)
+enumFromName(std::string_view word, Enum first, Enum last,
+             const char* (*name)(Enum), Enum* out)
 {
-    static const std::unordered_map<std::string, FwdScheme> kMap = {
-        {"retpoline", FwdScheme::kRetpoline},
-        {"lvi-cfi", FwdScheme::kLviCfi},
-        {"fenced-retpoline", FwdScheme::kFencedRetpoline},
-        {"jump-switch", FwdScheme::kJumpSwitch},
-    };
-    auto it = kMap.find(word);
-    if (it == kMap.end())
-        return false;
-    *out = it->second;
-    return true;
+    for (int k = static_cast<int>(first); k <= static_cast<int>(last);
+         ++k) {
+        if (word == name(static_cast<Enum>(k))) {
+            *out = static_cast<Enum>(k);
+            return true;
+        }
+    }
+    return false;
 }
 
-bool
-retSchemeFromName(const std::string& word, RetScheme* out)
-{
-    static const std::unordered_map<std::string, RetScheme> kMap = {
-        {"return-retpoline", RetScheme::kReturnRetpoline},
-        {"lvi-ret", RetScheme::kLviRet},
-        {"fenced-ret", RetScheme::kFencedRet},
-    };
-    auto it = kMap.find(word);
-    if (it == kMap.end())
-        return false;
-    *out = it->second;
-    return true;
-}
-
+/**
+ * Two passes over the caller's buffer. The declaration pass creates
+ * every global and function shell (so bodies may reference names
+ * declared later) and counts blocks per function and instructions per
+ * block; the body pass then parses each instruction in place into a
+ * vector already sized for it.
+ */
 class ModuleParser
 {
   public:
-    explicit ModuleParser(const std::string& text)
-    {
-        std::istringstream is(text);
-        std::string line;
-        while (std::getline(is, line))
-            lines_.push_back(line);
-    }
+    explicit ModuleParser(std::string_view text) : text_(text) {}
 
     Module
     run()
     {
-        declarationPass();
-        bodyPass();
+        forEachLine(text_, [this](std::string_view line, size_t no) {
+            declareLine(line, no);
+        });
+        forEachLine(text_, [this](std::string_view line, size_t no) {
+            bodyLine(line, no);
+        });
         module_.reserveSiteIds(max_site_ + 1);
         return std::move(module_);
     }
 
   private:
-    /** Create all globals and function shells (names resolvable). */
+    /** Declaration pass: globals, function shells, and size hints. A
+     *  line counts as a label or an instruction exactly when the body
+     *  pass will treat it as one. */
     void
-    declarationPass()
+    declareLine(std::string_view line, size_t line_no)
     {
-        for (size_t i = 0; i < lines_.size(); ++i) {
-            const std::string& line = lines_[i];
-            LineCursor cur(line, i + 1);
-            if (cur.tryLiteral("global ")) {
-                std::string name = cur.parseName();
-                cur.expect("[");
-                int64_t size = cur.parseInt();
-                cur.expect("]");
-                if (size < 0)
-                    cur.fail("negative global size");
-                std::vector<int64_t> init(
-                    static_cast<size_t>(size), 0);
-                if (cur.tryLiteral("{")) {
-                    while (true) {
-                        int64_t idx = cur.parseInt();
-                        cur.expect(":");
-                        int64_t value = cur.parseInt();
-                        if (idx < 0 || idx >= size)
-                            cur.fail("initializer index out of range");
-                        init[static_cast<size_t>(idx)] = value;
-                        if (cur.tryLiteral(","))
-                            continue;
-                        cur.expect("}");
-                        break;
-                    }
-                }
-                module_.addGlobal(name, std::move(init));
-            } else if (cur.tryLiteral("func ")) {
-                std::string name = cur.parseName();
-                cur.expect("(params=");
-                int64_t params = cur.parseInt();
-                cur.expect(", regs=");
-                int64_t regs = cur.parseInt();
-                cur.expect(", frame=");
-                int64_t frame = cur.parseInt();
-                cur.expect(")");
-                uint32_t attrs = kAttrNone;
-                while (!cur.tryLiteral("{")) {
-                    std::string word = cur.parseWord();
-                    if (word == "noinline")
-                        attrs |= kAttrNoInline;
-                    else if (word == "optnone")
-                        attrs |= kAttrOptNone;
-                    else if (word == "boot")
-                        attrs |= kAttrBootSection;
-                    else if (word == "external")
-                        attrs |= kAttrExternal;
-                    else
-                        cur.fail("unknown function attribute '" + word +
-                                 "'");
-                }
-                FuncId id = module_.addFunction(
-                    name, static_cast<uint32_t>(params), attrs);
-                Function& f = module_.func(id);
-                f.num_regs = static_cast<uint32_t>(regs);
-                f.frame_size = static_cast<uint32_t>(frame);
-            }
+        LineCursor cur(line, line_no);
+        if (cur.tryLiteral("global ")) {
+            declareGlobal(cur);
+        } else if (cur.tryLiteral("func ")) {
+            declareFunction(cur);
+            blocks_per_func_.push_back(0);
+            in_block_ = false;
+        } else if (line.empty()) {
+            // Skipped by the body pass, like any global line.
+        } else if (cur.tryLiteral("}")) {
+            in_block_ = false;
+        } else if (cur.tryLiteral("bb")) {
+            if (!blocks_per_func_.empty())
+                ++blocks_per_func_.back();
+            insts_per_block_.push_back(0);
+            in_block_ = true;
+        } else if (in_block_) {
+            ++insts_per_block_.back();
         }
     }
 
-    /** Parse function bodies now that every name resolves. */
     void
-    bodyPass()
+    declareGlobal(LineCursor& cur)
     {
-        Function* current = nullptr;
-        for (size_t i = 0; i < lines_.size(); ++i) {
-            const std::string& line = lines_[i];
-            if (line.empty())
-                continue;
-            LineCursor cur(line, i + 1);
-            if (cur.tryLiteral("global "))
-                continue;
-            if (cur.tryLiteral("func ")) {
-                std::string name = cur.parseName();
-                current = &module_.func(module_.findFunction(name));
-                continue;
-            }
-            if (cur.tryLiteral("}")) {
-                current = nullptr;
-                continue;
-            }
-            if (!current)
-                cur.fail("instruction outside function");
-            if (cur.tryLiteral("bb")) {
-                int64_t id = cur.parseInt();
+        const std::string_view name = cur.parseName();
+        cur.expect("[");
+        const int64_t size = cur.parseInt();
+        cur.expect("]");
+        if (size < 0)
+            cur.fail("negative global size");
+        std::vector<int64_t> init(static_cast<size_t>(size), 0);
+        if (cur.tryLiteral("{")) {
+            while (true) {
+                const int64_t idx = cur.parseInt();
                 cur.expect(":");
-                if (id != static_cast<int64_t>(current->blocks.size()))
-                    cur.fail("non-sequential block id");
-                current->blocks.emplace_back();
-                continue;
+                const int64_t value = cur.parseInt();
+                if (idx < 0 || idx >= size)
+                    cur.fail("initializer index out of range");
+                init[static_cast<size_t>(idx)] = value;
+                if (cur.tryLiteral(","))
+                    continue;
+                cur.expect("}");
+                break;
             }
-            if (current->blocks.empty())
-                cur.fail("instruction before first block label");
-            current->blocks.back().insts.push_back(
-                parseInstruction(cur));
         }
+        // Checked once the line has parsed, so a malformed line reports
+        // its syntax error first.
+        if (!globals_.emplace(name, module_.numGlobals()).second)
+            cur.fail("duplicate global '@" + std::string(name) + "'");
+        module_.addGlobal(std::string(name), std::move(init));
+    }
+
+    void
+    declareFunction(LineCursor& cur)
+    {
+        const std::string_view name = cur.parseName();
+        cur.expect("(params=");
+        const int64_t params = cur.parseInt();
+        cur.expect(", regs=");
+        const int64_t regs = cur.parseInt();
+        cur.expect(", frame=");
+        const int64_t frame = cur.parseInt();
+        cur.expect(")");
+        uint32_t attrs = kAttrNone;
+        while (!cur.tryLiteral("{")) {
+            const std::string_view word = cur.parseWord();
+            if (word == "noinline")
+                attrs |= kAttrNoInline;
+            else if (word == "optnone")
+                attrs |= kAttrOptNone;
+            else if (word == "boot")
+                attrs |= kAttrBootSection;
+            else if (word == "external")
+                attrs |= kAttrExternal;
+            else
+                cur.fail("unknown function attribute '" +
+                         std::string(word) + "'");
+        }
+        if (!funcs_.emplace(name, module_.numFunctions()).second)
+            cur.fail("duplicate function '@" + std::string(name) + "'");
+        const FuncId id = module_.addFunction(
+            std::string(name), static_cast<uint32_t>(params), attrs);
+        Function& f = module_.func(id);
+        f.num_regs = static_cast<uint32_t>(regs);
+        f.frame_size = static_cast<uint32_t>(frame);
+    }
+
+    /** Body pass: parse function bodies now that every name resolves. */
+    void
+    bodyLine(std::string_view line, size_t line_no)
+    {
+        if (line.empty())
+            return;
+        LineCursor cur(line, line_no);
+        if (cur.tryLiteral("global "))
+            return;
+        if (cur.tryLiteral("func ")) {
+            current_ = &module_.func(funcs_.at(cur.parseName()));
+            current_->blocks.reserve(blocks_per_func_[next_func_++]);
+            return;
+        }
+        if (cur.tryLiteral("}")) {
+            current_ = nullptr;
+            return;
+        }
+        if (!current_)
+            cur.fail("instruction outside function");
+        if (cur.tryLiteral("bb")) {
+            const int64_t id = cur.parseInt();
+            cur.expect(":");
+            if (id != static_cast<int64_t>(current_->blocks.size()))
+                cur.fail("non-sequential block id");
+            current_->blocks.emplace_back().insts.reserve(
+                insts_per_block_[next_block_++]);
+            return;
+        }
+        if (current_->blocks.empty())
+            cur.fail("instruction before first block label");
+        parseInstruction(cur,
+                         current_->blocks.back().insts.emplace_back());
     }
 
     /** Trailing annotations: !asm, !<scheme>, !site N. */
     void
-    parseAnnotations(LineCursor& cur, Instruction* inst)
+    parseAnnotations(LineCursor& cur, Instruction& inst)
     {
         while (cur.tryLiteral("!")) {
             if (cur.tryLiteral("site")) {
-                inst->site_id = static_cast<SiteId>(cur.parseInt());
-                if (inst->site_id != kNoSite &&
-                    inst->site_id > max_site_)
-                    max_site_ = inst->site_id;
+                inst.site_id = static_cast<SiteId>(cur.parseInt());
+                if (inst.site_id != kNoSite && inst.site_id > max_site_)
+                    max_site_ = inst.site_id;
                 continue;
             }
-            std::string word = cur.parseWord();
+            const std::string_view word = cur.parseWord();
             FwdScheme fwd;
             RetScheme ret;
+            // Annotation words name every scheme except "none".
             if (word == "asm")
-                inst->is_asm = true;
-            else if (fwdSchemeFromName(word, &fwd))
-                inst->fwd_scheme = fwd;
-            else if (retSchemeFromName(word, &ret))
-                inst->ret_scheme = ret;
+                inst.is_asm = true;
+            else if (enumFromName(word, FwdScheme::kRetpoline,
+                                  FwdScheme::kJumpSwitch, fwdSchemeName,
+                                  &fwd))
+                inst.fwd_scheme = fwd;
+            else if (enumFromName(word, RetScheme::kReturnRetpoline,
+                                  RetScheme::kFencedRet, retSchemeName,
+                                  &ret))
+                inst.ret_scheme = ret;
             else
-                cur.fail("unknown annotation '!" + word + "'");
+                cur.fail("unknown annotation '!" + std::string(word) +
+                         "'");
         }
         if (!cur.atEnd())
             cur.fail("trailing tokens");
     }
 
-    std::vector<Reg>
-    parseArgList(LineCursor& cur)
+    void
+    parseArgList(LineCursor& cur, std::vector<Reg>& args)
     {
-        std::vector<Reg> args;
         cur.expect("(");
         if (cur.tryLiteral(")"))
-            return args;
+            return;
         while (true) {
             args.push_back(cur.parseReg());
             if (cur.tryLiteral(","))
@@ -375,36 +398,31 @@ class ModuleParser
             cur.expect(")");
             break;
         }
-        return args;
     }
 
     FuncId
     resolveFunc(LineCursor& cur)
     {
-        std::string name = cur.parseName();
-        FuncId id = module_.findFunction(name);
-        if (id == kInvalidFunc)
-            cur.fail("unknown function '@" + name + "'");
-        return id;
+        const std::string_view name = cur.parseName();
+        auto it = funcs_.find(name);
+        if (it == funcs_.end())
+            cur.fail("unknown function '@" + std::string(name) + "'");
+        return it->second;
     }
 
     GlobalId
     resolveGlobal(LineCursor& cur)
     {
-        std::string name = cur.parseName();
-        // Hashed lookup: the old linear scan over numGlobals() was
-        // quadratic on generated modules, where thousands of op-table
-        // globals are each referenced by many icall loads.
-        GlobalId g = module_.findGlobal(name);
-        if (g == kInvalidGlobal)
-            cur.fail("unknown global '@" + name + "'");
-        return g;
+        const std::string_view name = cur.parseName();
+        auto it = globals_.find(name);
+        if (it == globals_.end())
+            cur.fail("unknown global '@" + std::string(name) + "'");
+        return it->second;
     }
 
-    Instruction
-    parseInstruction(LineCursor& cur)
+    void
+    parseInstruction(LineCursor& cur, Instruction& inst)
     {
-        Instruction inst;
         // Destination-less forms first.
         if (cur.tryLiteral("store ")) {
             inst.op = Opcode::kStore;
@@ -416,8 +434,8 @@ class ModuleParser
             cur.expect("]");
             cur.expect("=");
             inst.b = cur.parseReg();
-            parseAnnotations(cur, &inst);
-            return inst;
+            parseAnnotations(cur, inst);
+            return;
         }
         if (cur.tryLiteral("frame[")) {
             inst.op = Opcode::kFrameStore;
@@ -425,14 +443,14 @@ class ModuleParser
             cur.expect("]");
             cur.expect("=");
             inst.a = cur.parseReg();
-            parseAnnotations(cur, &inst);
-            return inst;
+            parseAnnotations(cur, inst);
+            return;
         }
         if (cur.tryLiteral("sink ")) {
             inst.op = Opcode::kSink;
             inst.a = cur.parseReg();
-            parseAnnotations(cur, &inst);
-            return inst;
+            parseAnnotations(cur, inst);
+            return;
         }
         if (cur.tryLiteral("ret")) {
             inst.op = Opcode::kRet;
@@ -440,14 +458,14 @@ class ModuleParser
             LineCursor probe = cur; // value is optional
             if (!probe.atEnd() && !probe.tryLiteral("!"))
                 inst.a = cur.parseReg();
-            parseAnnotations(cur, &inst);
-            return inst;
+            parseAnnotations(cur, inst);
+            return;
         }
         if (cur.tryLiteral("br ")) {
             inst.op = Opcode::kBr;
             inst.t0 = cur.parseBlock();
-            parseAnnotations(cur, &inst);
-            return inst;
+            parseAnnotations(cur, inst);
+            return;
         }
         if (cur.tryLiteral("condbr ")) {
             inst.op = Opcode::kCondBr;
@@ -456,8 +474,8 @@ class ModuleParser
             inst.t0 = cur.parseBlock();
             cur.expect(",");
             inst.t1 = cur.parseBlock();
-            parseAnnotations(cur, &inst);
-            return inst;
+            parseAnnotations(cur, inst);
+            return;
         }
         if (cur.tryLiteral("switch ")) {
             inst.op = Opcode::kSwitch;
@@ -469,8 +487,8 @@ class ModuleParser
                 cur.expect("->");
                 inst.case_targets.push_back(cur.parseBlock());
             }
-            parseAnnotations(cur, &inst);
-            return inst;
+            parseAnnotations(cur, inst);
+            return;
         }
 
         // "rD = ..." / "_ = ..." forms.
@@ -500,37 +518,60 @@ class ModuleParser
         } else if (cur.tryLiteral("call ")) {
             inst.op = Opcode::kCall;
             inst.callee = resolveFunc(cur);
-            inst.args = parseArgList(cur);
+            parseArgList(cur, inst.args);
         } else if (cur.tryLiteral("icall ")) {
             inst.op = Opcode::kICall;
             inst.a = cur.parseReg();
-            inst.args = parseArgList(cur);
+            parseArgList(cur, inst.args);
         } else {
-            std::string word = cur.parseWord();
+            const std::string_view word = cur.parseWord();
             BinKind kind;
-            if (!binKindFromName(word, &kind))
-                cur.fail("unknown opcode '" + word + "'");
+            if (!enumFromName(word, BinKind::kAdd, BinKind::kGe,
+                              binKindName, &kind))
+                cur.fail("unknown opcode '" + std::string(word) + "'");
             inst.op = Opcode::kBinOp;
             inst.bin = kind;
             inst.a = cur.parseReg();
             cur.expect(",");
             inst.b = cur.parseReg();
         }
-        parseAnnotations(cur, &inst);
-        return inst;
+        parseAnnotations(cur, inst);
     }
 
-    std::vector<std::string> lines_;
+    std::string_view text_;
     Module module_;
     SiteId max_site_ = 0;
+    /** Name → id, keyed into the input buffer. */
+    std::unordered_map<std::string_view, FuncId> funcs_;
+    std::unordered_map<std::string_view, GlobalId> globals_;
+    /** Size hints from the declaration pass, consumed in order. */
+    std::vector<uint32_t> blocks_per_func_;
+    std::vector<uint32_t> insts_per_block_;
+    bool in_block_ = false;
+    size_t next_func_ = 0;
+    size_t next_block_ = 0;
+    Function* current_ = nullptr;
 };
 
 } // namespace
 
-Module
-parseModule(const std::string& text)
+ParseResult
+tryParseModule(std::string_view text)
 {
-    return ModuleParser(text).run();
+    try {
+        return {ModuleParser(text).run(), {}};
+    } catch (ParseError& e) {
+        return {std::nullopt, std::move(e.message)};
+    }
+}
+
+Module
+parseModule(std::string_view text)
+{
+    ParseResult parsed = tryParseModule(text);
+    if (!parsed.module)
+        PIBE_FATAL(parsed.error);
+    return std::move(*parsed.module);
 }
 
 } // namespace pibe::ir

@@ -12,17 +12,34 @@
 #ifndef PIBE_IR_PARSER_H_
 #define PIBE_IR_PARSER_H_
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "ir/module.h"
 
 namespace pibe::ir {
 
+/** The outcome of tryParseModule(): a module or a parse error. */
+struct ParseResult
+{
+    std::optional<Module> module; ///< Engaged iff the text parsed.
+    /** Otherwise "PIR parse error at line N: <what> near '<text>'". */
+    std::string error;
+};
+
 /**
- * Parse the textual module format produced by printModule().
- * Fatal (PIBE_FATAL) on malformed input, with a line number.
+ * Parse the textual module format produced by printModule(), reading
+ * `text` in place. Malformed input is returned as an error value,
+ * never a crash or an exit, so long-running processes can answer it.
  */
-Module parseModule(const std::string& text);
+ParseResult tryParseModule(std::string_view text);
+
+/**
+ * tryParseModule() for callers that cannot continue without the
+ * module: fatal (PIBE_FATAL) with the same message on malformed input.
+ */
+Module parseModule(std::string_view text);
 
 } // namespace pibe::ir
 

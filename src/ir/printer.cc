@@ -1,6 +1,9 @@
 #include "ir/printer.h"
 
-#include <sstream>
+#include <charconv>
+#include <concepts>
+#include <string_view>
+#include <vector>
 
 namespace pibe::ir {
 
@@ -78,12 +81,163 @@ retSchemeName(RetScheme scheme)
 
 namespace {
 
-std::string
-regName(Reg r)
+/** A register operand: "rN", or "_" for kNoReg. */
+struct RegName
 {
-    if (r == kNoReg)
-        return "_";
-    return "r" + std::to_string(r);
+    Reg reg;
+};
+
+void
+put(std::string& out, std::string_view text)
+{
+    out += text;
+}
+
+void
+put(std::string& out, char c)
+{
+    out += c;
+}
+
+template <std::integral Int>
+void
+put(std::string& out, Int value)
+{
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+void
+put(std::string& out, RegName r)
+{
+    if (r.reg == kNoReg) {
+        out += '_';
+        return;
+    }
+    out += 'r';
+    put(out, r.reg);
+}
+
+/** Append every part to `out`, in order. */
+template <typename... Parts>
+void
+append(std::string& out, const Parts&... parts)
+{
+    (put(out, parts), ...);
+}
+
+void
+appendArgs(std::string& out, const std::vector<Reg>& args)
+{
+    out += '(';
+    for (size_t i = 0; i < args.size(); ++i)
+        append(out, i ? ", " : "", RegName{args[i]});
+    out += ')';
+}
+
+void
+appendFwdAnnotations(std::string& out, const Instruction& inst)
+{
+    if (inst.is_asm)
+        out += " !asm";
+    if (inst.fwd_scheme != FwdScheme::kNone)
+        append(out, " !", fwdSchemeName(inst.fwd_scheme));
+}
+
+void
+appendInstruction(std::string& out, const Module& m,
+                  const Instruction& inst)
+{
+    const RegName dst{inst.dst};
+    const RegName a{inst.a};
+    const RegName b{inst.b};
+    switch (inst.op) {
+      case Opcode::kConst:
+        append(out, dst, " = const ", inst.imm);
+        break;
+      case Opcode::kMove:
+        append(out, dst, " = move ", a);
+        break;
+      case Opcode::kBinOp:
+        append(out, dst, " = ", binKindName(inst.bin), ' ', a, ", ", b);
+        break;
+      case Opcode::kFuncAddr:
+        append(out, dst, " = funcaddr @", m.func(inst.callee).name);
+        break;
+      case Opcode::kLoad:
+        append(out, dst, " = load @", m.global(inst.global).name, '[', a,
+               " + ", inst.imm, ']');
+        break;
+      case Opcode::kStore:
+        append(out, "store @", m.global(inst.global).name, '[', a, " + ",
+               inst.imm, "] = ", b);
+        break;
+      case Opcode::kFrameLoad:
+        append(out, dst, " = frame[", inst.imm, ']');
+        break;
+      case Opcode::kFrameStore:
+        append(out, "frame[", inst.imm, "] = ", a);
+        break;
+      case Opcode::kCall:
+        append(out, dst, " = call @", m.func(inst.callee).name);
+        appendArgs(out, inst.args);
+        break;
+      case Opcode::kICall:
+        append(out, dst, " = icall ", a);
+        appendArgs(out, inst.args);
+        appendFwdAnnotations(out, inst);
+        break;
+      case Opcode::kRet:
+        out += "ret";
+        if (inst.a != kNoReg)
+            append(out, ' ', a);
+        if (inst.ret_scheme != RetScheme::kNone)
+            append(out, " !", retSchemeName(inst.ret_scheme));
+        break;
+      case Opcode::kBr:
+        append(out, "br bb", inst.t0);
+        break;
+      case Opcode::kCondBr:
+        append(out, "condbr ", a, ", bb", inst.t0, ", bb", inst.t1);
+        break;
+      case Opcode::kSwitch:
+        append(out, "switch ", a, " default bb", inst.t0);
+        for (size_t i = 0; i < inst.case_values.size(); ++i)
+            append(out, ", ", inst.case_values[i], "->bb",
+                   inst.case_targets[i]);
+        appendFwdAnnotations(out, inst);
+        break;
+      case Opcode::kSink:
+        append(out, "sink ", a);
+        break;
+    }
+    if (inst.site_id != kNoSite)
+        append(out, " !site ", inst.site_id);
+}
+
+void
+appendFunction(std::string& out, const Module& m, const Function& f)
+{
+    append(out, "func @", f.name, "(params=", f.num_params,
+           ", regs=", f.num_regs, ", frame=", f.frame_size, ')');
+    if (f.hasAttr(kAttrNoInline))
+        out += " noinline";
+    if (f.hasAttr(kAttrOptNone))
+        out += " optnone";
+    if (f.hasAttr(kAttrBootSection))
+        out += " boot";
+    if (f.hasAttr(kAttrExternal))
+        out += " external";
+    out += " {\n";
+    for (BlockId b = 0; b < f.blocks.size(); ++b) {
+        append(out, "bb", b, ":\n");
+        for (const auto& inst : f.blocks[b].insts) {
+            out += "    ";
+            appendInstruction(out, m, inst);
+            out += '\n';
+        }
+    }
+    out += "}\n";
 }
 
 } // namespace
@@ -91,133 +245,43 @@ regName(Reg r)
 std::string
 printInstruction(const Module& m, const Instruction& inst)
 {
-    std::ostringstream os;
-    switch (inst.op) {
-      case Opcode::kConst:
-        os << regName(inst.dst) << " = const " << inst.imm;
-        break;
-      case Opcode::kMove:
-        os << regName(inst.dst) << " = move " << regName(inst.a);
-        break;
-      case Opcode::kBinOp:
-        os << regName(inst.dst) << " = " << binKindName(inst.bin) << " "
-           << regName(inst.a) << ", " << regName(inst.b);
-        break;
-      case Opcode::kFuncAddr:
-        os << regName(inst.dst) << " = funcaddr @"
-           << m.func(inst.callee).name;
-        break;
-      case Opcode::kLoad:
-        os << regName(inst.dst) << " = load @" << m.global(inst.global).name
-           << "[" << regName(inst.a) << " + " << inst.imm << "]";
-        break;
-      case Opcode::kStore:
-        os << "store @" << m.global(inst.global).name << "["
-           << regName(inst.a) << " + " << inst.imm
-           << "] = " << regName(inst.b);
-        break;
-      case Opcode::kFrameLoad:
-        os << regName(inst.dst) << " = frame[" << inst.imm << "]";
-        break;
-      case Opcode::kFrameStore:
-        os << "frame[" << inst.imm << "] = " << regName(inst.a);
-        break;
-      case Opcode::kCall:
-        os << regName(inst.dst) << " = call @" << m.func(inst.callee).name
-           << "(";
-        for (size_t i = 0; i < inst.args.size(); ++i)
-            os << (i ? ", " : "") << regName(inst.args[i]);
-        os << ")";
-        break;
-      case Opcode::kICall:
-        os << regName(inst.dst) << " = icall " << regName(inst.a) << "(";
-        for (size_t i = 0; i < inst.args.size(); ++i)
-            os << (i ? ", " : "") << regName(inst.args[i]);
-        os << ")";
-        if (inst.is_asm)
-            os << " !asm";
-        if (inst.fwd_scheme != FwdScheme::kNone)
-            os << " !" << fwdSchemeName(inst.fwd_scheme);
-        break;
-      case Opcode::kRet:
-        os << "ret";
-        if (inst.a != kNoReg)
-            os << " " << regName(inst.a);
-        if (inst.ret_scheme != RetScheme::kNone)
-            os << " !" << retSchemeName(inst.ret_scheme);
-        break;
-      case Opcode::kBr:
-        os << "br bb" << inst.t0;
-        break;
-      case Opcode::kCondBr:
-        os << "condbr " << regName(inst.a) << ", bb" << inst.t0 << ", bb"
-           << inst.t1;
-        break;
-      case Opcode::kSwitch:
-        os << "switch " << regName(inst.a) << " default bb" << inst.t0;
-        for (size_t i = 0; i < inst.case_values.size(); ++i) {
-            os << ", " << inst.case_values[i] << "->bb"
-               << inst.case_targets[i];
-        }
-        if (inst.is_asm)
-            os << " !asm";
-        if (inst.fwd_scheme != FwdScheme::kNone)
-            os << " !" << fwdSchemeName(inst.fwd_scheme);
-        break;
-      case Opcode::kSink:
-        os << "sink " << regName(inst.a);
-        break;
-    }
-    if (inst.site_id != kNoSite)
-        os << " !site " << inst.site_id;
-    return os.str();
+    std::string out;
+    appendInstruction(out, m, inst);
+    return out;
 }
 
 std::string
 printFunction(const Module& m, const Function& f)
 {
-    std::ostringstream os;
-    os << "func @" << f.name << "(params=" << f.num_params
-       << ", regs=" << f.num_regs << ", frame=" << f.frame_size << ")";
-    if (f.hasAttr(kAttrNoInline))
-        os << " noinline";
-    if (f.hasAttr(kAttrOptNone))
-        os << " optnone";
-    if (f.hasAttr(kAttrBootSection))
-        os << " boot";
-    if (f.hasAttr(kAttrExternal))
-        os << " external";
-    os << " {\n";
-    for (BlockId b = 0; b < f.blocks.size(); ++b) {
-        os << "bb" << b << ":\n";
-        for (const auto& inst : f.blocks[b].insts)
-            os << "    " << printInstruction(m, inst) << "\n";
-    }
-    os << "}\n";
-    return os.str();
+    std::string out;
+    appendFunction(out, m, f);
+    return out;
 }
 
 std::string
 printModule(const Module& m)
 {
-    std::ostringstream os;
+    std::string out;
     for (const Global& g : m.globals()) {
-        os << "global @" << g.name << "[" << g.init.size() << "]";
+        append(out, "global @", g.name, '[', g.init.size(), ']');
         // Sparse initializer dump: only non-zero slots.
         bool any = false;
         for (size_t i = 0; i < g.init.size(); ++i) {
             if (g.init[i] == 0)
                 continue;
-            os << (any ? ", " : " { ") << i << ": " << g.init[i];
+            append(out, any ? ", " : " { ", i, ": ", g.init[i]);
             any = true;
         }
         if (any)
-            os << " }";
-        os << "\n";
+            out += " }";
+        out += '\n';
     }
     for (const Function& f : m.functions())
-        os << printFunction(m, f);
-    return os.str();
+        appendFunction(out, m, f);
+    // Callers keep module text for long (caches, the serve daemon):
+    // return it without the slack left by the string's growth.
+    out.shrink_to_fit();
+    return out;
 }
 
 } // namespace pibe::ir

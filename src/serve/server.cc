@@ -48,6 +48,22 @@ parseUint(const std::string& s)
     return v;
 }
 
+/**
+ * Parse PIR text the daemon read from its cache. Bad text (a corrupt
+ * artifact) becomes an exception that the job graph and batcher carry
+ * to the request, which answers with an error response; the daemon
+ * keeps serving.
+ */
+std::unique_ptr<ir::Module>
+parsedOrThrow(const std::string& text, const char* what)
+{
+    ir::ParseResult parsed = ir::tryParseModule(text);
+    if (!parsed.module)
+        throw std::runtime_error(std::string(what) +
+                                 " text: " + parsed.error);
+    return std::make_unique<ir::Module>(std::move(*parsed.module));
+}
+
 /** RAII pairing for the gate + inflight metrics gauge. */
 class Admission
 {
@@ -277,8 +293,7 @@ Server::context()
             "serve:kernel", [&](const runtime::JobContext&) {
                 ctx->kernel_text =
                     core::kernelTextCached(opts_.kernel, &cache_);
-                ctx->kernel = std::make_unique<ir::Module>(
-                    ir::parseModule(ctx->kernel_text));
+                ctx->kernel = parsedOrThrow(ctx->kernel_text, "kernel");
                 ctx->info =
                     kernel::kernelInfoFromModule(*ctx->kernel);
             });
@@ -385,8 +400,7 @@ Server::resolveImage(const Json& params, std::string* error,
                               ctx->profile_text, ctx->profile, opt,
                               defense, &cache_);
                           built->module =
-                              std::make_unique<ir::Module>(
-                                  ir::parseModule(built->text));
+                              parsedOrThrow(built->text, "image");
                           built->info = kernel::kernelInfoFromModule(
                               *built->module);
                           built->decoded = std::make_shared<

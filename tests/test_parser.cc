@@ -1,10 +1,23 @@
-/** @file Tests for the PIR text parser (round-trip with the printer). */
+/**
+ * @file
+ * Tests for the PIR text parser: round trips with the printer (small
+ * modules, the paper kernel, generated Linux-scale modules), edge
+ * cases of the line split, errors as values, and a deterministic
+ * byte-mutation fuzzer.
+ */
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "ir/builder.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "kernel/kernel.h"
+#include "scale/parallel_pipeline.h"
+#include "support/rng.h"
 #include "tests/test_util.h"
 
 namespace pibe {
@@ -159,14 +172,233 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParserProperty,
 
 TEST(Parser, RoundTripsTheEntireKernel)
 {
-    kernel::KernelConfig cfg;
-    cfg.num_drivers = 8;
-    kernel::KernelImage k = kernel::buildKernel(cfg);
+    kernel::KernelImage k = kernel::buildKernel(kernel::KernelConfig{});
     std::string text = ir::printModule(k.module);
     Module parsed = ir::parseModule(text);
     EXPECT_TRUE(test::verifies(parsed));
     EXPECT_EQ(ir::printModule(parsed), text);
     EXPECT_EQ(parsed.numFunctions(), k.module.numFunctions());
+    EXPECT_EQ(scale::moduleDigest(parsed), scale::moduleDigest(k.module));
+}
+
+/** printFunction/printInstruction render exactly printModule's lines. */
+TEST(Printer, PiecesAreSlicesOfTheModuleText)
+{
+    kernel::KernelConfig cfg;
+    cfg.num_drivers = 4;
+    const Module m = kernel::buildKernel(cfg).module;
+    const std::string text = ir::printModule(m);
+    size_t at = 0;
+    for (size_t i = 0; i < m.numGlobals(); ++i)
+        at = text.find('\n', at) + 1;
+    for (const ir::Function& f : m.functions()) {
+        const std::string func = ir::printFunction(m, f);
+        ASSERT_EQ(text.compare(at, func.size(), func), 0) << f.name;
+        size_t line = func.find('\n') + 1;
+        for (const ir::BasicBlock& bb : f.blocks) {
+            line = func.find('\n', line) + 1; // the block label
+            for (const ir::Instruction& inst : bb.insts) {
+                const std::string want =
+                    "    " + ir::printInstruction(m, inst) + "\n";
+                ASSERT_EQ(func.compare(line, want.size(), want), 0)
+                    << f.name;
+                line += want.size();
+            }
+        }
+        EXPECT_EQ(func.substr(line), "}\n");
+        at += func.size();
+    }
+    EXPECT_EQ(at, text.size());
+}
+
+// The text is split into lines the way std::getline splits it: the
+// last line needs no newline, and empty lines between functions are
+// skipped.
+TEST(Parser, FinalLineWithoutNewline)
+{
+    const std::string text = "global @g[2] { 1: 7 }\n"
+                             "func @f(params=0, regs=1, frame=0) {\n"
+                             "bb0:\n"
+                             "    ret !site 3";
+    const Module m = ir::parseModule(text);
+    ASSERT_EQ(m.numFunctions(), 1u);
+    EXPECT_EQ(m.func(0).blocks[0].insts[0].site_id, 3u);
+    EXPECT_EQ(m.siteIdBound(), 4u);
+    EXPECT_EQ(ir::printModule(m), "global @g[2] { 1: 7 }\n"
+                                  "func @f(params=0, regs=1, frame=0) {\n"
+                                  "bb0:\n"
+                                  "    ret !site 3\n"
+                                  "}\n");
+    EXPECT_EQ(ir::parseModule("global @g[2]").global(0).init.size(), 2u);
+}
+
+TEST(Parser, BlankLinesBetweenFunctions)
+{
+    const std::string text = "\n"
+                             "func @a(params=0, regs=0, frame=0) {\n"
+                             "bb0:\n"
+                             "    ret\n"
+                             "}\n"
+                             "\n\n"
+                             "func @b(params=0, regs=0, frame=0) {\n"
+                             "\n"
+                             "bb0:\n"
+                             "    ret\n"
+                             "}\n"
+                             "\n";
+    const Module m = ir::parseModule(text);
+    ASSERT_EQ(m.numFunctions(), 2u);
+    EXPECT_EQ(m.func(1).blocks.size(), 1u);
+    // A line of spaces is not blank: outside a function it is a stray
+    // instruction, reported on its own line number.
+    const ir::ParseResult r = ir::tryParseModule("\n  \n");
+    EXPECT_FALSE(r.module);
+    EXPECT_EQ(r.error,
+              "PIR parse error at line 2: instruction outside function "
+              "near ''");
+}
+
+TEST(Parser, ErrorsAreValues)
+{
+    const ir::ParseResult ok = ir::tryParseModule("global @g[1]\n");
+    ASSERT_TRUE(ok.module);
+    EXPECT_TRUE(ok.error.empty());
+    EXPECT_EQ(ok.module->numGlobals(), 1u);
+
+    const ir::ParseResult bad =
+        ir::tryParseModule("func @f(params=0, regs=1, frame=0) {\n"
+                           "bb0:\n"
+                           "    r0 = quux r0, r0\n"
+                           "}\n");
+    EXPECT_FALSE(bad.module);
+    EXPECT_EQ(bad.error, "PIR parse error at line 3: unknown opcode "
+                         "'quux' near ' r0, r0'");
+
+    // Redeclared names are parse errors too, not assertion failures.
+    EXPECT_EQ(ir::tryParseModule("global @g[1]\nglobal @g[2]\n").error,
+              "PIR parse error at line 2: duplicate global '@g' near ''");
+    EXPECT_EQ(ir::tryParseModule("func @f(params=0, regs=0, frame=0) {\n"
+                                 "}\n"
+                                 "func @f(params=0, regs=0, frame=0) {\n"
+                                 "}\n")
+                  .error,
+              "PIR parse error at line 3: duplicate function '@f' near "
+              "''");
+}
+
+// ---------------------------------------------------------------------
+// Deterministic mutation fuzzer over every shipped example module and a
+// printed 64-driver kernel.
+
+std::vector<std::string>
+fuzzCorpus()
+{
+    std::vector<std::string> corpus;
+    std::vector<std::filesystem::path> paths;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             PIBE_SOURCE_DIR "/examples/pir"))
+        if (entry.path().extension() == ".pir")
+            paths.push_back(entry.path());
+    std::sort(paths.begin(), paths.end());
+    for (const auto& path : paths) {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream os;
+        os << in.rdbuf();
+        corpus.push_back(os.str());
+    }
+    kernel::KernelConfig cfg;
+    cfg.num_drivers = 64;
+    corpus.push_back(ir::printModule(kernel::buildKernel(cfg).module));
+    return corpus;
+}
+
+/** Apply one byte-level mutation: bit flip, insert, delete, truncate. */
+void
+mutate(std::string& text, Rng& rng)
+{
+    // Inserted tokens the language cares about, beside random bytes.
+    static const char* const kTokens[] = {
+        "\n", " ", "}", "{", "bb", "!", "!site ", "-", "9", "@", "r",
+        "_", ",", "=", "[", "]", "(", ")", "func @f(params=0, regs=0, "
+        "frame=0) {\n", "global @g[4]\n", "99999999999999999999",
+    };
+    if (text.empty()) {
+        text = kTokens[rng.below(std::size(kTokens))];
+        return;
+    }
+    const size_t at = rng.below(text.size());
+    switch (rng.below(5)) {
+      case 0:
+        text[at] = static_cast<char>(text[at] ^ (1u << rng.below(8)));
+        break;
+      case 1:
+        text.insert(at, 1, static_cast<char>(rng.below(256)));
+        break;
+      case 2:
+        text.insert(at, kTokens[rng.below(std::size(kTokens))]);
+        break;
+      case 3:
+        text.erase(at, 1 + rng.below(8));
+        break;
+      default: {
+        // Truncate, half the time just after a line.
+        const size_t eol = text.find('\n', at);
+        text.resize(rng.below(2) == 0 && eol != std::string::npos ? eol + 1
+                                                                 : at);
+        break;
+      }
+    }
+}
+
+/**
+ * Parse `iterations` mutants of the corpus. Every mutant must come
+ * back as a module or a line-numbered error, and every module must
+ * print to a fixed point of print -> parse -> print.
+ */
+void
+fuzzParser(uint64_t seed, size_t iterations)
+{
+    const std::vector<std::string> corpus = fuzzCorpus();
+    ASSERT_GE(corpus.size(), 4u);
+    Rng rng(seed);
+    size_t accepted = 0;
+    for (size_t i = 0; i < iterations; ++i) {
+        // The kernel text is ~1000x an example's: one mutant in 16.
+        const size_t pick = i % 16 == 15 ? corpus.size() - 1
+                                         : i % (corpus.size() - 1);
+        std::string text = corpus[pick];
+        const uint64_t mutations = rng.below(4) == 0 ? 2 + rng.below(3) : 1;
+        for (uint64_t k = 0; k < mutations; ++k)
+            mutate(text, rng);
+        const ir::ParseResult r = ir::tryParseModule(text);
+        if (!r.module) {
+            ASSERT_EQ(r.error.rfind("PIR parse error at line ", 0), 0u)
+                << r.error;
+            continue;
+        }
+        ++accepted;
+        const std::string printed = ir::printModule(*r.module);
+        const ir::ParseResult again = ir::tryParseModule(printed);
+        ASSERT_TRUE(again.module)
+            << "mutant " << i << ": " << again.error;
+        ASSERT_EQ(ir::printModule(*again.module), printed)
+            << "mutant " << i;
+    }
+    // Both outcomes must be exercised, or the fuzzer tests nothing.
+    EXPECT_GT(accepted, iterations / 20);
+    EXPECT_LT(accepted, iterations - iterations / 20);
+}
+
+TEST(ParserFuzz, MutantsParseOrFailCleanly)
+{
+    fuzzParser(1, 2000);
+}
+
+// The long leg (CI runs it under ASan/UBSan with
+// --gtest_also_run_disabled_tests).
+TEST(ParserFuzz, DISABLED_LongLeg)
+{
+    fuzzParser(2, 100000);
 }
 
 TEST(ParserDeath, UnknownOpcode)

@@ -70,9 +70,11 @@ TEST(ScaleBuilder, OutputIsCheckCleanWithProfileFlow)
 
 TEST(ScaleBuilder, TextRoundTripsThroughParser)
 {
-    const ir::Module m = scale::buildScaleModule(smallConfig(8000));
-    const ir::Module back = ir::parseModule(ir::printModule(m));
+    const ir::Module m = scale::buildScaleModule(smallConfig(100000));
+    const std::string text = ir::printModule(m);
+    const ir::Module back = ir::parseModule(text);
     EXPECT_TRUE(ir::verifyModule(back).empty());
+    EXPECT_EQ(ir::printModule(back), text);
     EXPECT_EQ(scale::moduleDigest(m), scale::moduleDigest(back));
 }
 

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -561,6 +562,42 @@ TEST(ServeServer, MeasureBitIdenticalToDirectEngineCall)
     EXPECT_EQ(again["latency_bits"].asString(),
               served["latency_bits"].asString());
     EXPECT_EQ(again["image"].asString(), served["image"].asString());
+}
+
+// A corrupt image artifact in the shared cache directory answers the
+// requests for that image with an error; the daemon keeps serving.
+TEST(ServeServer, CorruptCachedImageIsAnErrorResponse)
+{
+    TempDir dir("corrupt_image");
+    serve::ServeOptions opts = tinyServeOptions();
+    opts.cache_dir = dir.str();
+    Json corrupted = Json::object();
+    corrupted.set("defense", "retpolines");
+    std::string key;
+    {
+        serve::Server first(opts);
+        key = callServer(first, "optimize", corrupted)["image"].asString();
+    }
+    {
+        std::ofstream art(dir.path() / (key + ".art"), std::ios::trunc);
+        art << "not a PIR module\n";
+    }
+
+    serve::Server fresh(opts);
+    const Json bad =
+        fresh.handle(serve::makeRequest(1, "optimize", corrupted));
+    EXPECT_FALSE(bad["ok"].asBool(true));
+    EXPECT_NE(bad["error"].asString().find(
+                  "PIR parse error at line 1: instruction outside "
+                  "function"),
+              std::string::npos)
+        << bad["error"].asString();
+
+    Json other = Json::object();
+    other.set("defense", "lvi");
+    other.set("workload", "read");
+    const Json served = callServer(fresh, "measure", other);
+    EXPECT_NE(served["image"].asString(), key);
 }
 
 TEST(ServeServer, RequestValidationAndControlKnobs)

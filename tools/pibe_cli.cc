@@ -945,11 +945,12 @@ cmdGenkernel(Args& args)
 
 /**
  * One fork-isolated scalebench measurement: generate a module of
- * `insts` instructions, synthesize its profile, build the hardened
- * image with core::buildImage at `pibe optimize`'s defaults, and write
- * one JSON object with timings, the image digest, and audit counters
- * to `fd`. Runs in the child so the parent can read peak RSS from
- * wait4().
+ * `insts` instructions, synthesize its profile, time one print and one
+ * parse of the module's PIR text, build the hardened image with
+ * core::buildImage at `pibe optimize`'s defaults, and write one JSON
+ * object with timings, the image digest, and audit counters to `fd`.
+ * Runs in the child so the parent can read peak RSS from wait4().
+ * Exits 1 if the re-parsed module's digest differs from the original.
  */
 void
 runScalebenchChild(uint64_t insts, uint64_t seed, int fd)
@@ -973,20 +974,42 @@ runScalebenchChild(uint64_t insts, uint64_t seed, int fd)
     profile::EdgeProfile prof = scale::synthesizeProfile(m, pcfg);
     const Clock::time_point t2 = Clock::now();
 
+    // The text layer every pibe command goes through.
+    double print_ms = 0;
+    double parse_ms = 0;
+    size_t text_bytes = 0;
+    {
+        const std::string text = ir::printModule(m);
+        const Clock::time_point p0 = Clock::now();
+        const ir::Module back = ir::parseModule(text);
+        const Clock::time_point p1 = Clock::now();
+        print_ms = ms(t2, p0);
+        parse_ms = ms(p0, p1);
+        text_bytes = text.size();
+        if (scale::moduleDigest(back) != scale::moduleDigest(m)) {
+            std::fprintf(stderr, "scalebench: %llu-inst module does not "
+                         "survive print -> parse\n",
+                         static_cast<unsigned long long>(insts));
+            _exit(1);
+        }
+    }
+    const Clock::time_point t3 = Clock::now();
+
     core::OptConfig opt;
     opt.icp_budget = 0.99999;
     opt.inline_budget = 0.999999;
     core::BuildReport rep;
     const ir::Module image = core::buildImage(
         m, prof, opt, harden::DefenseConfig::all(), &rep);
-    const Clock::time_point t3 = Clock::now();
+    const Clock::time_point t4 = Clock::now();
     const std::string digest = scale::moduleDigest(image);
 
     dprintf(
         fd,
         "{\"target_insts\":%llu,\"insts\":%llu,\"functions\":%llu,"
         "\"icall_sites\":%llu,"
-        "\"gen_ms\":%.1f,\"profile_ms\":%.1f,\"build_ms\":%.1f,"
+        "\"gen_ms\":%.1f,\"profile_ms\":%.1f,\"print_ms\":%.1f,"
+        "\"parse_ms\":%.1f,\"parse_mb_s\":%.1f,\"build_ms\":%.1f,"
         "\"promoted_targets\":%u,\"inlined_sites\":%u,"
         "\"analyses_computed\":%llu,\"analyses_reused\":%llu,"
         "\"sandwich_errors\":%llu,"
@@ -996,7 +1019,9 @@ runScalebenchChild(uint64_t insts, uint64_t seed, int fd)
         static_cast<unsigned long long>(stats.num_insts),
         static_cast<unsigned long long>(stats.num_functions),
         static_cast<unsigned long long>(stats.icall_sites),
-        ms(t0, t1), ms(t1, t2), ms(t2, t3),
+        ms(t0, t1), ms(t1, t2), print_ms, parse_ms,
+        static_cast<double>(text_bytes) / 1e3 / std::max(parse_ms, 1e-3),
+        ms(t3, t4),
         rep.icp.promoted_targets, rep.inlining.inlined_sites,
         static_cast<unsigned long long>(rep.analyses_computed),
         static_cast<unsigned long long>(rep.analyses_reused),
@@ -1061,10 +1086,13 @@ cmdScalebench(Args& args)
         row.maxrss_kb = ru.ru_maxrss; // Linux reports KiB
         const int64_t errors = row.json["sandwich_errors"].asInt();
         clean = clean && errors == 0;
-        std::printf("  %8llu insts: gen %6.0f ms, build %7.0f ms, "
+        std::printf("  %8llu insts: gen %6.0f ms, print %5.0f ms, "
+                    "parse %5.0f ms, build %7.0f ms, "
                     "rss %ld MiB, errors %lld, digest %s\n",
                     static_cast<unsigned long long>(n),
                     row.json["gen_ms"].asDouble(),
+                    row.json["print_ms"].asDouble(),
+                    row.json["parse_ms"].asDouble(),
                     row.json["build_ms"].asDouble(),
                     row.maxrss_kb / 1024,
                     static_cast<long long>(errors),
