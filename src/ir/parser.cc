@@ -260,6 +260,9 @@ class ModuleParser
         cur.expect("]");
         if (size < 0)
             cur.fail("negative global size");
+        if (size > kMaxGlobalSlots)
+            cur.fail("global size exceeds " +
+                     std::to_string(kMaxGlobalSlots) + " slots");
         std::vector<int64_t> init(static_cast<size_t>(size), 0);
         if (cur.tryLiteral("{")) {
             while (true) {

@@ -12,6 +12,7 @@
 #ifndef PIBE_IR_PARSER_H_
 #define PIBE_IR_PARSER_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -19,6 +20,11 @@
 #include "ir/module.h"
 
 namespace pibe::ir {
+
+/** The most slots a PIR text may declare for one global. Larger sizes
+ *  are parse errors, so a hostile text cannot demand unbounded memory
+ *  (the default kernel's largest global has 131072 slots). */
+inline constexpr int64_t kMaxGlobalSlots = int64_t{1} << 24;
 
 /** The outcome of tryParseModule(): a module or a parse error. */
 struct ParseResult

@@ -3,6 +3,7 @@
 #include <bit>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "ir/parser.h"
@@ -134,22 +135,24 @@ serializeMeasurement(const Measurement& m)
     return os.str();
 }
 
-Measurement
+/** The Measurement in `text`, or nullopt if the artifact is not one
+ *  serializeMeasurement() wrote (a corrupt cache entry). */
+std::optional<Measurement>
 parseMeasurement(const std::string& text)
 {
     std::istringstream is(text);
     std::string header;
     std::getline(is, header);
     if (header != "pibe-measurement v2")
-        PIBE_FATAL("bad measurement artifact header: '", header, "'");
+        return std::nullopt;
     Measurement m;
     std::string tag;
     uint64_t bits = 0;
     if (!(is >> tag >> bits) || tag != "latency_bits")
-        PIBE_FATAL("bad measurement artifact (latency)");
+        return std::nullopt;
     m.latency_us = std::bit_cast<double>(bits);
     if (!(is >> tag >> bits) || tag != "ops_bits")
-        PIBE_FATAL("bad measurement artifact (ops)");
+        return std::nullopt;
     m.ops_per_sec = std::bit_cast<double>(bits);
     uarch::RunStats& s = m.stats;
     if (!(is >> tag >> s.cycles >> s.instructions >> s.direct_calls >>
@@ -159,12 +162,12 @@ parseMeasurement(const std::string& text)
           s.js_hits >> s.js_misses >> s.js_patches >> s.js_learning >>
           s.max_call_depth >> s.peak_frame_slots) ||
         tag != "stats")
-        PIBE_FATAL("bad measurement artifact (stats)");
+        return std::nullopt;
     if (!(is >> tag) || tag != "fused")
-        PIBE_FATAL("bad measurement artifact (fused)");
+        return std::nullopt;
     for (uint64_t& f : s.fused) {
         if (!(is >> f))
-            PIBE_FATAL("bad measurement artifact (fused counts)");
+            return std::nullopt;
     }
     return m;
 }
@@ -351,9 +354,11 @@ measureWorkloadCached(const std::string& image_text,
         .add(image_text)
         .add(workload_name);
     hashMeasureConfig(d, config);
+    // A corrupt artifact is a miss: recompute and put over it.
     if (cache) {
         if (std::optional<std::string> text = cache->get(d.hex()))
-            return parseMeasurement(*text);
+            if (std::optional<Measurement> m = parseMeasurement(*text))
+                return *m;
     }
     auto wl = makeWorkloadByName(workload_name);
     Measurement m =

@@ -159,8 +159,9 @@ std::string imageTextCached(const std::string& kernel_text,
  * so a hit reproduces the computed result exactly. `decoded` is the
  * pre-decoded image (decode once, pass to every measurement of the
  * same image). `workload_name` is an LMBench test name or "nginx" /
- * "apache" / "dbench". `cache` may be null (no memoization). Shared by
- * runExperiments() and `pibe measure --jobs`.
+ * "apache" / "dbench". `cache` may be null (no memoization). A cached
+ * artifact that does not parse is a miss: the measurement is recomputed
+ * and put over it. Shared by runExperiments() and `pibe measure --jobs`.
  */
 Measurement
 measureWorkloadCached(const std::string& image_text,

@@ -274,6 +274,11 @@ TEST(Parser, ErrorsAreValues)
     EXPECT_EQ(bad.error, "PIR parse error at line 3: unknown opcode "
                          "'quux' near ' r0, r0'");
 
+    // A declared size is bounded before anything is allocated.
+    EXPECT_EQ(ir::tryParseModule("global @g[999999999999]\n").error,
+              "PIR parse error at line 1: global size exceeds 16777216 "
+              "slots near ''");
+
     // Redeclared names are parse errors too, not assertion failures.
     EXPECT_EQ(ir::tryParseModule("global @g[1]\nglobal @g[2]\n").error,
               "PIR parse error at line 2: duplicate global '@g' near ''");

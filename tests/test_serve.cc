@@ -600,6 +600,71 @@ TEST(ServeServer, CorruptCachedImageIsAnErrorResponse)
     EXPECT_NE(served["image"].asString(), key);
 }
 
+// A corrupt measurement artifact in a shared cache directory is a
+// cache miss: the measurement is recomputed, bit-identical to a cold
+// run, and put over the bad entry, which then parses again.
+TEST(ServeCacheSharing, CorruptMeasurementArtifactIsACacheMiss)
+{
+    TempDir dir("corrupt_measurement");
+    const serve::ServeOptions opts = tinyServeOptions();
+    ArtifactCache staging;
+    const std::string kernel_text =
+        core::kernelTextCached(opts.kernel, &staging);
+    const ir::Module kernel = ir::parseModule(kernel_text);
+    const kernel::KernelInfo info = kernel::kernelInfoFromModule(kernel);
+    const std::string profile_text = core::profileTextCached(
+        kernel_text, kernel, info, opts.profile_base_iters, &staging);
+    const std::string image_text = core::imageTextCached(
+        kernel_text, kernel, profile_text,
+        profile::liftProfile(kernel, profile_text), core::OptConfig{},
+        *harden::defenseByName("retpolines"), &staging);
+    const ir::Module image = ir::parseModule(image_text);
+    const auto decoded = std::make_shared<const uarch::DecodedModule>(image);
+    auto measure = [&](ArtifactCache* cache) {
+        return core::measureWorkloadCached(
+            image_text, decoded, kernel::kernelInfoFromModule(image), "read",
+            core::MeasureConfig{}, cache);
+    };
+    auto readAll = [](const fs::path& p) {
+        std::ifstream in(p, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+
+    const core::Measurement cold = measure(nullptr);
+    {
+        ArtifactCache cache;
+        cache.setDiskDir(dir.str());
+        measure(&cache);
+    }
+    std::vector<fs::path> arts;
+    for (const auto& entry : fs::directory_iterator(dir.path()))
+        if (entry.path().extension() == ".art")
+            arts.push_back(entry.path());
+    ASSERT_EQ(arts.size(), 1u);
+    const std::string good = readAll(arts[0]);
+    ASSERT_EQ(good.rfind("pibe-measurement v2\n", 0), 0u);
+
+    for (const std::string& garbage :
+         {std::string(), std::string("not a measurement\n"),
+          good.substr(0, good.size() / 2)}) {
+        SCOPED_TRACE("garbage '" + garbage + "'");
+        {
+            std::ofstream art(arts[0], std::ios::trunc);
+            art << garbage;
+        }
+        ArtifactCache cache;
+        cache.setDiskDir(dir.str());
+        const core::Measurement again = measure(&cache);
+        EXPECT_EQ(std::bit_cast<uint64_t>(again.latency_us),
+                  std::bit_cast<uint64_t>(cold.latency_us));
+        EXPECT_EQ(std::bit_cast<uint64_t>(again.ops_per_sec),
+                  std::bit_cast<uint64_t>(cold.ops_per_sec));
+        EXPECT_EQ(again.stats.cycles, cold.stats.cycles);
+        EXPECT_EQ(cache.stats().puts, 1u);
+        EXPECT_EQ(readAll(arts[0]), good);
+    }
+}
+
 TEST(ServeServer, RequestValidationAndControlKnobs)
 {
     serve::Server server(tinyServeOptions());

@@ -5,21 +5,26 @@
  * taint, globals, call arg/ret), completeness semantics, the
  * incremental invalidation contract, the verify.targets /
  * coverage.targets checkers (including the seeded out-of-set-promotion
- * bug they must catch), the surface report, and a clean
- * total-promotion build of a genkernel-scale module.
+ * bug they must catch), the surface report, a clean total-promotion
+ * build of a genkernel-scale module, and golden digests of the solved
+ * analysis on random, generated and adversarial copy-graph modules.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "check/analysis_manager.h"
 #include "check/checks.h"
 #include "check/target_sets.h"
 #include "ir/builder.h"
+#include "kernel/kernel.h"
 #include "opt/icp.h"
 #include "pibe/pipeline.h"
+#include "runtime/digest.h"
 #include "scale/scale_builder.h"
 #include "scale/synthetic_profile.h"
+#include "support/rng.h"
 #include "tests/test_util.h"
 
 namespace pibe {
@@ -470,74 +475,168 @@ TEST(TargetSets, GenkernelSmokeCompleteAndClean)
               0u);
 }
 
-// --- fast solver vs reference oracle --------------------------------
+// --- golden solutions -------------------------------------------------
 
-// Both engines compute the unique least fixpoint, so every queryable
-// fact — per-site target sets, completeness flags, the address-taken
-// pool, bad global slots — must be bit-identical.
-void
-expectSolversAgree(const Module& m)
+// Digest of every queryable fact of the solved analysis: each site's
+// (site, func, completeness, targets), the address-taken pool, the bad
+// global slots, and every register's target set and completeness.
+std::string
+solutionDigest(TargetSetAnalysis& tsa)
 {
-    TargetSetAnalysis fast(m);
-    fast.setSolverMode(check::SolverMode::kFast);
-    TargetSetAnalysis ref(m);
-    ref.setSolverMode(check::SolverMode::kReference);
-
-    const auto& sf = fast.sites();
-    const auto& sr = ref.sites();
-    ASSERT_EQ(sf.size(), sr.size());
-    auto it = sf.begin();
-    auto jt = sr.begin();
-    for (; it != sf.end(); ++it, ++jt) {
-        EXPECT_EQ(it->first, jt->first);
-        EXPECT_EQ(it->second.incomplete, jt->second.incomplete)
-            << "site " << it->first;
-        EXPECT_EQ(it->second.targets, jt->second.targets)
-            << "site " << it->first;
+    runtime::Digest d;
+    for (const auto& [sid, st] : tsa.sites()) {
+        d.add(sid).add(st.func).add(st.incomplete);
+        d.add(static_cast<uint64_t>(st.targets.size()));
+        for (ir::FuncId t : st.targets)
+            d.add(t);
     }
-    EXPECT_EQ(fast.addressTaken(), ref.addressTaken());
-    ASSERT_EQ(fast.badGlobalSlots().size(),
-              ref.badGlobalSlots().size());
-    for (size_t i = 0; i < fast.badGlobalSlots().size(); ++i) {
-        EXPECT_EQ(fast.badGlobalSlots()[i].global,
-                  ref.badGlobalSlots()[i].global);
-        EXPECT_EQ(fast.badGlobalSlots()[i].slot,
-                  ref.badGlobalSlots()[i].slot);
+    d.add(static_cast<uint64_t>(tsa.addressTaken().size()));
+    for (ir::FuncId f : tsa.addressTaken())
+        d.add(f);
+    d.add(static_cast<uint64_t>(tsa.badGlobalSlots().size()));
+    for (const check::BadGlobalSlot& b : tsa.badGlobalSlots())
+        d.add(b.global).add(static_cast<uint64_t>(b.slot)).add(b.value);
+    const Module& m = tsa.module();
+    for (ir::FuncId f = 0; f < m.numFunctions(); ++f) {
+        for (ir::Reg r = 0; r < m.func(f).num_regs; ++r) {
+            const TargetSet ts = tsa.regTargets(f, r);
+            d.add(ts.incomplete);
+            d.add(static_cast<uint64_t>(ts.targets.size()));
+            for (ir::FuncId t : ts.targets)
+                d.add(t);
+        }
     }
-    EXPECT_EQ(fast.solverStats().mode, check::SolverMode::kFast);
-    EXPECT_EQ(ref.solverStats().mode, check::SolverMode::kReference);
+    return d.hex();
 }
 
-TEST(SolverDifferential, AgreesOnRandomModules)
+// The digests were recorded when an SCC-collapsing, difference-
+// propagating solver and a naive worklist both computed, and were
+// asserted to agree on, each module's least fixpoint.
+void
+expectGolden(const Module& m, const std::string& digest)
 {
-    for (uint64_t seed : {1u, 5u, 17u, 42u, 101u, 999u}) {
+    TargetSetAnalysis tsa(m);
+    EXPECT_EQ(solutionDigest(tsa), digest);
+}
+
+// A random copy graph in one function: registers loaded from four op
+// tables with disjoint handlers, copied along random moves, plus extra
+// moves into existing registers (merges, and cycles when the source is
+// downstream), drained by icalls. Sets merge, grow and cover one
+// another in an order the seed decides.
+Module
+randomCopyGraph(uint64_t seed)
+{
+    Module m;
+    for (int t = 0; t < 4; ++t) {
+        std::vector<int64_t> init;
+        for (int i = 0; i < 6; ++i) {
+            ir::FuncId f = m.addFunction(
+                "h" + std::to_string(t) + "_" + std::to_string(i), 1);
+            FunctionBuilder b(m, f);
+            b.ret(b.binImm(BinKind::kAdd, b.param(0), 1));
+            init.push_back(ir::funcAddrValue(f));
+        }
+        m.addGlobal("ops" + std::to_string(t), std::move(init));
+    }
+    Rng rng(seed);
+    const ir::FuncId g = m.addFunction("graph", 1);
+    FunctionBuilder b(m, g);
+    std::vector<ir::Reg> regs;
+    for (ir::GlobalId t = 0; t < 4; ++t)
+        regs.push_back(b.load(t, b.param(0), 0));
+    const size_t chain = 60;
+    for (size_t i = 0; i < chain; ++i)
+        regs.push_back(b.move(regs[rng.below(regs.size())]));
+    std::vector<ir::Reg> merge_dst;
+    for (int i = 0; i < 30; ++i) {
+        merge_dst.push_back(regs[4 + rng.below(chain)]);
+        b.move(regs[rng.below(regs.size())]);
+    }
+    ir::Reg acc = b.param(0);
+    for (int i = 0; i < 6; ++i)
+        acc = b.icall(regs[4 + rng.below(chain)], {acc});
+    b.ret(acc);
+    // Point the extra moves at their existing destination registers.
+    size_t moves = 0;
+    for (ir::Instruction& in : m.func(g).blocks[0].insts)
+        if (in.op == ir::Opcode::kMove && moves++ >= chain)
+            in.dst = merge_dst[moves - chain - 1];
+    return m;
+}
+
+TEST(TargetSetsGolden, RandomCopyGraphs)
+{
+    const std::pair<uint64_t, const char*> golden[] = {
+        {3, "32db7b6348d8b5577b288a4f19a2d642"},
+        {11, "4697003eea7c51c3869ea2acc2d32ed6"},
+        {29, "bb182b37b459a63cb7a7ce9769d2d429"},
+    };
+    for (const auto& [seed, digest] : golden) {
+        const Module m = randomCopyGraph(seed);
+        ASSERT_TRUE(test::verifies(m));
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        expectGolden(m, digest);
+    }
+}
+
+TEST(TargetSetsGolden, RandomModules)
+{
+    const std::pair<uint64_t, const char*> golden[] = {
+        {1, "5fcf70f38bb133382ab26864fec2146d"},
+        {5, "cbf335d646aefab583f6052b0aaff9e0"},
+        {17, "307dce59ddadb2669c944d62f387a9b3"},
+        {42, "318e0efcd2c997a9338c2098f78afd3c"},
+        {101, "d283804b902a772d15cf80e5e78e24f8"},
+        {999, "2db2dad283527b3936d722130eaa212c"},
+    };
+    for (const auto& [seed, digest] : golden) {
         test::GenConfig gcfg;
         gcfg.seed = seed;
         gcfg.num_mids = 9;
         gcfg.max_blocks = 6;
         const ir::Module m = test::generateModule(gcfg);
         SCOPED_TRACE("seed " + std::to_string(seed));
-        expectSolversAgree(m);
+        expectGolden(m, digest);
     }
 }
 
-TEST(SolverDifferential, AgreesOnGenkernelModules)
+// The synthetic kernel: many icall sites over large op-table sets, and
+// root parameters whose incompleteness flows through calls.
+TEST(TargetSetsGolden, SyntheticKernels)
 {
-    for (uint64_t seed : {7u, 13u}) {
+    const std::pair<uint32_t, const char*> golden[] = {
+        {8, "4e93656de1b3df2c3470415f32cbafb9"},
+        {64, "c8f22fc934e9df891a8b3244d9c45354"},
+    };
+    for (const auto& [drivers, digest] : golden) {
+        kernel::KernelConfig kcfg;
+        kcfg.num_drivers = drivers;
+        SCOPED_TRACE("drivers " + std::to_string(drivers));
+        expectGolden(kernel::buildKernel(kcfg).module, digest);
+    }
+}
+
+TEST(TargetSetsGolden, GenkernelModules)
+{
+    const std::pair<uint64_t, const char*> golden[] = {
+        {7, "e234e7f2e7c61220628afa990c191f0d"},
+        {13, "5ed0dd1a2a3ff4658b28d55d0dd4f1f4"},
+    };
+    for (const auto& [seed, digest] : golden) {
         scale::ScaleConfig cfg;
         cfg.target_insts = 20000;
         cfg.seed = seed;
         const Module m = scale::buildScaleModule(cfg);
         SCOPED_TRACE("seed " + std::to_string(seed));
-        expectSolversAgree(m);
+        expectGolden(m, digest);
     }
 }
 
 // A ring of kMove copies (one big SCC) fed from an op table and
-// drained by an icall: the shape that forces the fast solver through
-// its cycle-collapsing paths (offline Tarjan catches the static ring;
-// LCD catches cycles closed through dynamic call edges).
-TEST(SolverDifferential, AgreesOnCopyRingSCC)
+// drained by an icall: every reg in the cycle must reach the fixpoint
+// holding the whole table.
+TEST(TargetSetsGolden, CopyRingSCC)
 {
     Module m;
     std::vector<int64_t> init;
@@ -578,25 +677,19 @@ TEST(SolverDifferential, AgreesOnCopyRingSCC)
         insts.insert(insts.end() - 2, back_edge);
     }
     ASSERT_TRUE(test::verifies(m));
-    expectSolversAgree(m);
+    expectGolden(m, "465af7d8f5547a4daaaa2ec944d33998");
 
-    // The collapsed solve must actually have collapsed the ring.
-    TargetSetAnalysis fast(m);
-    fast.setSolverMode(check::SolverMode::kFast);
-    fast.ensureSolved();
-    EXPECT_GT(fast.solverStats().scc_collapsed +
-                  fast.solverStats().lcd_collapsed,
-              0u);
     // Every reg in the ring aliases the whole table.
-    for (const auto& [sid, targets] : fast.sites()) {
+    TargetSetAnalysis tsa(m);
+    for (const auto& [sid, targets] : tsa.sites()) {
         EXPECT_EQ(targets.targets.size(), 40u);
         EXPECT_TRUE(targets.complete());
     }
 }
 
 // A deep linear copy chain routed through a frame slot round-trip:
-// stresses difference propagation down long paths.
-TEST(SolverDifferential, AgreesOnDeepChainThroughFrame)
+// the table's set travels 500 copies to reach the icall.
+TEST(TargetSetsGolden, DeepChainThroughFrame)
 {
     Module m;
     std::vector<int64_t> init;
@@ -620,7 +713,7 @@ TEST(SolverDifferential, AgreesOnDeepChainThroughFrame)
         b.ret(b.icall(back, {b.param(0)}));
     }
     ASSERT_TRUE(test::verifies(m));
-    expectSolversAgree(m);
+    expectGolden(m, "2dc52e2f8958a6254d2f95ae113bf8b0");
 }
 
 } // namespace

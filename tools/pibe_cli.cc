@@ -775,16 +775,9 @@ cmdCheck(Args& args)
         if (opts.targets) {
             const check::SolverStats& ss =
                 am.targetSets(opts.roots).solverStats();
-            t << ",\"solver\":{\"mode\":\""
-              << (ss.mode == check::SolverMode::kFast ? "fast"
-                                                      : "reference")
-              << "\",\"nodes\":" << ss.nodes
+            t << ",\"solver\":{\"nodes\":" << ss.nodes
               << ",\"static_edges\":" << ss.static_edges
               << ",\"dynamic_edges\":" << ss.dynamic_edges
-              << ",\"scc_collapsed\":" << ss.scc_collapsed
-              << ",\"lcd_collapsed\":" << ss.lcd_collapsed
-              << ",\"interned_sets\":" << ss.interned_sets
-              << ",\"union_memo_hits\":" << ss.union_memo_hits
               << ",\"pops\":" << ss.pops << ",\"solve_ms\":"
               << std::fixed << std::setprecision(2) << ss.solve_ms
               << "}";
