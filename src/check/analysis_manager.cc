@@ -1,5 +1,7 @@
 #include "check/analysis_manager.h"
 
+#include "ir/verifier.h"
+
 namespace pibe::check {
 
 const Cfg&
@@ -81,6 +83,74 @@ AnalysisManager::definiteAssignment(ir::FuncId f)
         ++hits_;
     }
     return *e.assigned;
+}
+
+std::span<const Diagnostic>
+AnalysisManager::verifyFindings(ir::FuncId f)
+{
+    const ir::Function& func = module_.func(f);
+    if (func.isDeclaration())
+        return {};
+    Entry& e = entry(f);
+    if (!e.verified) {
+        for (std::string& p : ir::verifyFunction(module_, func)) {
+            Diagnostic& d = e.findings.emplace_back();
+            d.check_id = "verify.function";
+            d.severity = Severity::kError;
+            d.message = std::move(p);
+            d.func = f;
+            d.func_name = func.name;
+        }
+        e.num_verify = static_cast<uint32_t>(e.findings.size());
+        e.verified = true;
+    }
+    return {e.findings.data(), e.num_verify};
+}
+
+std::optional<std::span<const Diagnostic>>
+AnalysisManager::lintFindings(ir::FuncId f)
+{
+    const Entry& e = entry(f);
+    if (!e.linted)
+        return std::nullopt;
+    return std::span<const Diagnostic>(e.findings).subspan(e.num_verify);
+}
+
+void
+AnalysisManager::storeLintFindings(ir::FuncId f,
+                                   std::span<const Diagnostic> diags)
+{
+    Entry& e = entry(f);
+    PIBE_ASSERT(e.verified && !e.linted, "lint findings of ",
+                module_.func(f).name, " stored out of order");
+    e.findings.insert(e.findings.end(), diags.begin(), diags.end());
+    e.linted = true;
+    // Only the lint sweep reads these, and it will not run on `f`
+    // again until `f` changes; the findings stand in for them.
+    e.live.reset();
+    e.frame_live.reset();
+    e.reaching.reset();
+    e.assigned.reset();
+}
+
+void
+AnalysisManager::syncShape()
+{
+    bool same = shape_globals_ == module_.numGlobals() &&
+                shape_params_.size() == module_.numFunctions();
+    for (ir::FuncId f = 0; same && f < shape_params_.size(); ++f)
+        same = shape_params_[f] == module_.func(f).num_params;
+    if (same)
+        return;
+    for (Entry& e : entries_) {
+        e.findings = {};
+        e.num_verify = 0;
+        e.verified = e.linted = false;
+    }
+    shape_globals_ = module_.numGlobals();
+    shape_params_.resize(module_.numFunctions());
+    for (ir::FuncId f = 0; f < shape_params_.size(); ++f)
+        shape_params_[f] = module_.func(f).num_params;
 }
 
 } // namespace pibe::check

@@ -8,16 +8,26 @@
  * lazily, once per function, and hands out const references. A pass
  * that mutates a function must invalidate() it (or invalidateAll()
  * after a module-wide pass) before querying again.
+ *
+ * Next to the analyses the manager caches each function's verify and
+ * lint findings, so a pass sandwich re-audits only the functions a
+ * pass touched. Those findings also read a little of the rest of the
+ * module (the function and global counts, callees' parameter counts);
+ * runChecks() calls syncShape() first, which drops every cached
+ * finding when that shape changed.
  */
 #ifndef PIBE_CHECK_ANALYSIS_MANAGER_H_
 #define PIBE_CHECK_ANALYSIS_MANAGER_H_
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "check/cfg.h"
 #include "check/dataflow.h"
+#include "check/diagnostic.h"
 #include "check/dominators.h"
 #include "check/target_sets.h"
 
@@ -62,7 +72,40 @@ class AnalysisManager
         return *targets_;
     }
 
-    /** Drop every cached analysis of `f` (call after mutating it). */
+    /**
+     * The structural verifier's problems with `f` (ir::verifyFunction)
+     * as `verify.function` diagnostics, cached. Empty for declarations.
+     */
+    std::span<const Diagnostic> verifyFindings(ir::FuncId f);
+
+    /** True if `f` verifies, so its analyses may run. */
+    bool analyzable(ir::FuncId f) { return verifyFindings(f).empty(); }
+
+    /**
+     * The `lint.*` findings recorded for `f` by storeLintFindings()
+     * since it was last invalidated, or nullopt.
+     * @pre analyzable(f) and f has a body.
+     */
+    std::optional<std::span<const Diagnostic>> lintFindings(ir::FuncId f);
+
+    /**
+     * Record the lint findings of `f` (see lintFindings()) and drop
+     * the dataflow analyses only the lint sweep reads (liveness, frame
+     * liveness, reaching defs, definite assignment): until `f` is
+     * invalidated its findings are served from here, so nothing reads
+     * them. A later query recomputes them.
+     */
+    void storeLintFindings(ir::FuncId f, std::span<const Diagnostic> diags);
+
+    /**
+     * Drop every cached finding if the function count, the global
+     * count or any function's parameter count changed since the last
+     * call. One O(functions) compare; runChecks() calls it first.
+     */
+    void syncShape();
+
+    /** Drop every cached analysis and finding of `f` (call after
+     *  mutating it). */
     void
     invalidate(ir::FuncId f)
     {
@@ -73,7 +116,8 @@ class AnalysisManager
             targets_->invalidateFunction(f);
     }
 
-    /** Drop all cached analyses (call after a module-wide pass). */
+    /** Drop all cached analyses and findings (call after a
+     *  module-wide pass). */
     void
     invalidateAll()
     {
@@ -98,6 +142,13 @@ class AnalysisManager
         std::unique_ptr<FrameLiveness> frame_live;
         std::unique_ptr<ReachingDefs> reaching;
         std::unique_ptr<DefiniteAssignment> assigned;
+        /** verify.function findings, then (once linted) lint.* ones.
+         *  Most functions have none: an empty vector allocates
+         *  nothing. */
+        std::vector<Diagnostic> findings;
+        uint32_t num_verify = 0;
+        bool verified = false;
+        bool linted = false;
     };
 
     Entry&
@@ -117,6 +168,10 @@ class AnalysisManager
     const ir::Module& module_;
     std::vector<Entry> entries_;
     std::unique_ptr<TargetSetAnalysis> targets_;
+    /** Shape at the last syncShape(): the global count and every
+     *  function's parameter count (one per function). */
+    size_t shape_globals_ = 0;
+    std::vector<uint32_t> shape_params_;
     size_t computations_ = 0;
     size_t hits_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -81,17 +82,11 @@ class Runner
         return d;
     }
 
-    /** Functions whose structure is broken; analyses must not run. */
-    bool
-    analyzable(ir::FuncId f)
+    void
+    append(std::span<const Diagnostic> diags)
     {
-        auto it = broken_.find(f);
-        if (it != broken_.end())
-            return !it->second;
-        const bool bad =
-            !ir::verifyFunction(module_, module_.func(f)).empty();
-        broken_[f] = bad;
-        return !bad;
+        report_.diags.insert(report_.diags.end(), diags.begin(),
+                             diags.end());
     }
 
     bool
@@ -111,16 +106,8 @@ class Runner
     void
     runVerify()
     {
-        for (const ir::Function& f : module_.functions()) {
-            auto problems = ir::verifyFunction(module_, f);
-            broken_[f.id] = !problems.empty();
-            for (const std::string& p : problems) {
-                Diagnostic& d =
-                    emit("verify.function", Severity::kError, p);
-                d.func = f.id;
-                d.func_name = f.name;
-            }
-        }
+        for (const ir::Function& f : module_.functions())
+            append(am_.verifyFindings(f.id));
         for (const std::string& p : ir::verifyModuleSiteIds(module_))
             emit("verify.sites", Severity::kError, p);
     }
@@ -131,9 +118,16 @@ class Runner
     runLints()
     {
         for (const ir::Function& f : module_.functions()) {
-            if (f.isDeclaration() || !analyzable(f.id))
+            if (f.isDeclaration() || !am_.analyzable(f.id))
                 continue;
+            if (auto cached = am_.lintFindings(f.id)) {
+                append(*cached);
+                continue;
+            }
+            const size_t begin = report_.diags.size();
             lintFunction(f);
+            am_.storeLintFindings(
+                f.id, std::span(report_.diags).subspan(begin));
         }
     }
 
@@ -322,7 +316,7 @@ class Runner
             if (f.isDeclaration())
                 continue;
             const bool boot = f.hasAttr(ir::kAttrBootSection);
-            const bool has_cfg = analyzable(f.id);
+            const bool has_cfg = am_.analyzable(f.id);
             for (ir::BlockId b = 0; b < f.blocks.size(); ++b) {
                 // Broken functions still get counted (analyzeCoverage
                 // counts them), but requirement checks need a CFG.
@@ -774,7 +768,7 @@ class Runner
                       bool have_invocations, ir::SiteId site,
                       const SiteInfo& info, uint64_t count)
     {
-        if (!have_invocations || !analyzable(info.func))
+        if (!have_invocations || !am_.analyzable(info.func))
             return;
         const Cfg& cfg = am_.cfg(info.func);
         if (!cfg.isReachable(info.block) || cfg.inCycle(info.block))
@@ -826,7 +820,6 @@ class Runner
     const CheckOptions& opts_;
     AnalysisManager& am_;
     CheckReport report_;
-    std::unordered_map<ir::FuncId, bool> broken_;
     std::vector<ir::Reg> uses_;
     std::vector<size_t> def_ids_;
 };
@@ -840,6 +833,7 @@ runChecks(const ir::Module& module, const CheckOptions& opts,
     if (am) {
         PIBE_ASSERT(&am->module() == &module,
                     "AnalysisManager wraps a different module");
+        am->syncShape();
         return Runner(module, opts, *am).run();
     }
     AnalysisManager local(module);

@@ -114,9 +114,11 @@ struct CheckReport
 };
 
 /**
- * Run the selected checker groups over `module`. Analyses are cached
- * in `am` when provided (it must wrap the same module); otherwise a
- * private manager is used.
+ * Run the selected checker groups over `module`. Analyses and each
+ * function's verify and lint findings are cached in `am` when provided
+ * (it must wrap the same module, and the caller must invalidate every
+ * function it mutated since the last run); otherwise a private manager
+ * is used. Either way the report is the same, byte for byte.
  */
 CheckReport runChecks(const ir::Module& module, const CheckOptions& opts,
                       AnalysisManager* am = nullptr);

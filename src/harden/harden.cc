@@ -116,15 +116,12 @@ namespace {
 /**
  * Tag the indirect branches of one function with the schemes implied
  * by `config` and lower its jump tables. Returns the number of
- * switches lowered; `*changed` is set if anything was mutated.
+ * switches lowered.
  */
 uint32_t
-hardenOneFunction(ir::Function& f, const DefenseConfig& config,
-                  bool* changed)
+hardenOneFunction(ir::Function& f, const DefenseConfig& config)
 {
     const uint32_t lowered = opt::lowerJumpTablesInFunction(f);
-    if (lowered > 0)
-        *changed = true;
 
     const ir::FwdScheme fwd = forwardSchemeFor(config);
     const ir::RetScheme bwd = returnSchemeFor(config);
@@ -133,20 +130,12 @@ hardenOneFunction(ir::Function& f, const DefenseConfig& config,
         for (auto& inst : bb.insts) {
             switch (inst.op) {
               case ir::Opcode::kICall:
-                if (inst.is_asm)
-                    break; // cannot rewrite inline assembly
-                if (inst.fwd_scheme != fwd) {
+                if (!inst.is_asm) // cannot rewrite inline assembly
                     inst.fwd_scheme = fwd;
-                    *changed = true;
-                }
                 break;
               case ir::Opcode::kRet:
-                if (boot)
-                    break; // boot-only returns stay plain
-                if (inst.ret_scheme != bwd) {
+                if (!boot) // boot-only returns stay plain
                     inst.ret_scheme = bwd;
-                    *changed = true;
-                }
                 break;
               default:
                 break;
@@ -169,9 +158,9 @@ applyDefenses(ir::Module& module, const DefenseConfig& config,
     // Jump tables are disabled whenever transient defenses are on
     // (the default LLVM behaviour under retpolines/LVI, §5.1).
     for (ir::Function& f : module.functions()) {
-        bool changed = false;
-        report.lowered_switches += hardenOneFunction(f, config, &changed);
-        if (changed && touched)
+        const uint32_t lowered = hardenOneFunction(f, config);
+        report.lowered_switches += lowered;
+        if (lowered > 0 && touched)
             touched->push_back(f.id);
     }
     CoverageReport final_report = analyzeCoverage(module);

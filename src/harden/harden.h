@@ -107,9 +107,11 @@ struct CoverageReport
  * Apply `config` to every indirect branch of `module` (tagging schemes
  * and lowering jump tables when any defense is on). Returns the
  * coverage report. When `touched` is non-null it receives the ids of
- * every function that was actually mutated (a scheme tagged or a
- * switch lowered), sorted and unique — the incremental invalidation
- * set for a following check stage.
+ * every function whose structure changed (a switch lowered), sorted
+ * and unique — the incremental invalidation set for a following check
+ * stage. Retagging a scheme does not count: no analysis, verifier or
+ * lint reads fwd_scheme/ret_scheme (only the coverage group does, and
+ * it is never cached).
  */
 CoverageReport applyDefenses(ir::Module& module,
                              const DefenseConfig& config,

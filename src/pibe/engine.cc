@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "ir/parser.h"
 #include "ir/printer.h"
@@ -330,8 +331,10 @@ imageTextCached(const std::string& kernel_text,
         if (std::optional<std::string> text = cache->get(key))
             return *text;
     }
-    ir::Module img = buildImage(kernel, profile, opt, defense);
-    std::string text = ir::printModule(img);
+    BuildResult built = tryBuildImage(kernel, profile, opt, defense);
+    if (!built.image)
+        throw std::runtime_error(built.error);
+    std::string text = ir::printModule(*built.image);
     if (cache)
         cache->put(key, text);
     return text;
@@ -356,9 +359,11 @@ measureWorkloadCached(const std::string& image_text,
     hashMeasureConfig(d, config);
     // A corrupt artifact is a miss: recompute and put over it.
     if (cache) {
-        if (std::optional<std::string> text = cache->get(d.hex()))
+        if (std::optional<std::string> text = cache->get(d.hex())) {
             if (std::optional<Measurement> m = parseMeasurement(*text))
                 return *m;
+            cache->noteCorrupt();
+        }
     }
     auto wl = makeWorkloadByName(workload_name);
     Measurement m =

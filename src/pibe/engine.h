@@ -107,7 +107,8 @@ struct ExperimentResults
 
 /**
  * Execute `plan` on a pool of `opts.jobs` workers. Parallel results
- * are bit-identical to `jobs = 1`.
+ * are bit-identical to `jobs = 1`. Rethrows the first job's exception
+ * (e.g. an image build that failed its audit).
  */
 ExperimentResults runExperiments(const ExperimentPlan& plan,
                                  const EngineOptions& opts = {});
@@ -142,7 +143,10 @@ std::string imageCacheKey(const std::string& kernel_text,
 
 /**
  * Canonical production-image text for one (opt, defense) point.
- * `kernel`/`profile` must be the parses of the two texts.
+ * `kernel`/`profile` must be the parses of the two texts. A build that
+ * fails its audit (tryBuildImage's error) is thrown as
+ * std::runtime_error, which a job graph carries to its caller (serve
+ * answers it with an error response).
  */
 std::string imageTextCached(const std::string& kernel_text,
                             const ir::Module& kernel,
@@ -160,8 +164,9 @@ std::string imageTextCached(const std::string& kernel_text,
  * pre-decoded image (decode once, pass to every measurement of the
  * same image). `workload_name` is an LMBench test name or "nginx" /
  * "apache" / "dbench". `cache` may be null (no memoization). A cached
- * artifact that does not parse is a miss: the measurement is recomputed
- * and put over it. Shared by runExperiments() and `pibe measure --jobs`.
+ * artifact that does not parse is a miss: it is counted in
+ * CacheStats::corrupt, and the measurement is recomputed and put over
+ * it. Shared by runExperiments() and `pibe measure --jobs`.
  */
 Measurement
 measureWorkloadCached(const std::string& image_text,

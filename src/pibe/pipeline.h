@@ -16,6 +16,9 @@
 #ifndef PIBE_PIBE_PIPELINE_H_
 #define PIBE_PIBE_PIPELINE_H_
 
+#include <optional>
+#include <string>
+
 #include "check/diagnostic.h"
 #include "harden/harden.h"
 #include "ir/module.h"
@@ -71,9 +74,9 @@ struct OptConfig
     /**
      * Pass-sandwich mode: run the `src/check` audit suite on the
      * pipeline input and again after every pass, record fresh findings
-     * in BuildReport::sandwich, and abort the build if a pass
+     * in BuildReport::sandwich, and fail the build if a pass
      * *introduces* error-severity findings (see check::PassSandwich).
-     * The input module's own pre-existing lint findings never abort.
+     * The input module's own pre-existing lint findings never fail it.
      */
     bool sandwich = true;
 
@@ -123,11 +126,16 @@ struct BuildReport
      * recomputed vs. served from cache across all sandwich stages. The
      * pipeline keeps one check::AnalysisManager alive for the whole
      * pass sequence and invalidates exactly the functions each pass
-     * reports as touched, so functions no pass mutated are audited
-     * from cache at every stage.
+     * reports as touched (for hardening: the functions whose switches
+     * were lowered; retagging schemes touches nothing), so the verify
+     * and lint findings and the analyses of functions no pass mutated
+     * are served from cache at every stage.
      */
     size_t analyses_computed = 0;
     size_t analyses_reused = 0;
+    /** Wall time of the sandwich stages, summed (sandwich mode only;
+     *  the rest of the build is passes and layout). */
+    double audit_ms = 0;
     /** The profile as transformed by the passes (promoted weights
      *  moved to direct edges, inherited sites added). */
     profile::EdgeProfile final_profile;
@@ -136,9 +144,32 @@ struct BuildReport
     std::vector<check::Diagnostic> sandwich;
 };
 
+/** The outcome of tryBuildImage(): an image or the failed audit. */
+struct BuildResult
+{
+    std::optional<ir::Module> image; ///< Engaged iff the build passed.
+    /** Otherwise "pass sandwich: ..." naming the failing stage and its
+     *  first finding (or the verifier's first problem when the
+     *  sandwich is off). */
+    std::string error;
+};
+
 /**
  * Derive a production image from `linked` using `profile`. The input
  * module is copied; the profile is copied and transformed internally.
+ * A stage that fails structural verification, or a pass that
+ * introduces error findings, ends the build with an error value, never
+ * a crash or an exit, so long-running processes can answer it.
+ */
+BuildResult tryBuildImage(const ir::Module& linked,
+                          const profile::EdgeProfile& profile,
+                          const OptConfig& opt,
+                          const harden::DefenseConfig& defenses,
+                          BuildReport* report = nullptr);
+
+/**
+ * tryBuildImage() for callers that cannot continue without the image:
+ * fatal (PIBE_FATAL) with the same message if the build fails.
  */
 ir::Module buildImage(const ir::Module& linked,
                       const profile::EdgeProfile& profile,

@@ -338,6 +338,13 @@ ArtifactCache::evictDiskOverBudget()
     stats_.evicted_bytes += evicted_bytes;
 }
 
+void
+ArtifactCache::noteCorrupt()
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.corrupt;
+}
+
 CacheStats
 ArtifactCache::stats() const
 {

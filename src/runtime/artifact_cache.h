@@ -49,6 +49,9 @@ struct CacheStats
     uint64_t disk_hits = 0;
     uint64_t misses = 0;
     uint64_t puts = 0;
+    /** Artifacts get() returned that the caller could not decode
+     *  (reported through noteCorrupt()); get() counted each as a hit. */
+    uint64_t corrupt = 0;
 
     uint64_t mem_evictions = 0;  ///< Entries LRU-evicted from memory.
     uint64_t disk_evictions = 0; ///< Files LRU-evicted from disk.
@@ -107,6 +110,10 @@ class ArtifactCache
 
     /** Store `value` under `key` in every enabled tier. */
     void put(const std::string& key, const std::string& value);
+
+    /** Count an artifact that get() returned but that did not decode
+     *  (CacheStats::corrupt); the caller recomputes or rejects it. */
+    void noteCorrupt();
 
     CacheStats stats() const;
 

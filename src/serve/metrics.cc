@@ -140,6 +140,7 @@ MetricsSnapshot::toJson() const
     c.set("disk_hits", cache.disk_hits);
     c.set("misses", cache.misses);
     c.set("puts", cache.puts);
+    c.set("corrupt", cache.corrupt);
     c.set("mem_evictions", cache.mem_evictions);
     c.set("disk_evictions", cache.disk_evictions);
     c.set("evicted_bytes", cache.evicted_bytes);
@@ -201,6 +202,7 @@ MetricsSnapshot::renderText() const
        << "\n";
     os << "pibe_cache_misses_total " << cache.misses << "\n";
     os << "pibe_cache_puts_total " << cache.puts << "\n";
+    os << "pibe_cache_corrupt_total " << cache.corrupt << "\n";
     os << "pibe_cache_evictions_total{tier=\"memory\"} "
        << cache.mem_evictions << "\n";
     os << "pibe_cache_evictions_total{tier=\"disk\"} "

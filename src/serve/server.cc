@@ -49,18 +49,21 @@ parseUint(const std::string& s)
 }
 
 /**
- * Parse PIR text the daemon read from its cache. Bad text (a corrupt
- * artifact) becomes an exception that the job graph and batcher carry
- * to the request, which answers with an error response; the daemon
- * keeps serving.
+ * Parse PIR text the daemon read from `cache`. Bad text (a corrupt
+ * artifact) is counted in CacheStats::corrupt and becomes an exception
+ * that the job graph and batcher carry to the request, which answers
+ * with an error response; the daemon keeps serving.
  */
 std::unique_ptr<ir::Module>
-parsedOrThrow(const std::string& text, const char* what)
+parsedOrThrow(const std::string& text, const char* what,
+              runtime::ArtifactCache& cache)
 {
     ir::ParseResult parsed = ir::tryParseModule(text);
-    if (!parsed.module)
+    if (!parsed.module) {
+        cache.noteCorrupt();
         throw std::runtime_error(std::string(what) +
                                  " text: " + parsed.error);
+    }
     return std::make_unique<ir::Module>(std::move(*parsed.module));
 }
 
@@ -293,7 +296,8 @@ Server::context()
             "serve:kernel", [&](const runtime::JobContext&) {
                 ctx->kernel_text =
                     core::kernelTextCached(opts_.kernel, &cache_);
-                ctx->kernel = parsedOrThrow(ctx->kernel_text, "kernel");
+                ctx->kernel =
+                    parsedOrThrow(ctx->kernel_text, "kernel", cache_);
                 ctx->info =
                     kernel::kernelInfoFromModule(*ctx->kernel);
             });
@@ -399,8 +403,8 @@ Server::resolveImage(const Json& params, std::string* error,
                               ctx->kernel_text, *ctx->kernel,
                               ctx->profile_text, ctx->profile, opt,
                               defense, &cache_);
-                          built->module =
-                              parsedOrThrow(built->text, "image");
+                          built->module = parsedOrThrow(
+                              built->text, "image", cache_);
                           built->info = kernel::kernelInfoFromModule(
                               *built->module);
                           built->decoded = std::make_shared<

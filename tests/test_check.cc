@@ -19,9 +19,15 @@
 #include "ir/builder.h"
 #include "ir/verifier.h"
 #include "kernel/kernel.h"
+#include "opt/icp.h"
+#include "opt/inliner.h"
+#include "pibe/experiment.h"
 #include "pibe/pipeline.h"
+#include "scale/scale_builder.h"
+#include "scale/synthetic_profile.h"
 #include "tests/test_util.h"
 #include "uarch/simulator.h"
+#include "workload/workload.h"
 
 namespace pibe {
 namespace {
@@ -868,6 +874,169 @@ TEST(Sandwich, BuildImageRecordsStagesAndStaysGreen)
     // functions.
     EXPECT_GT(report.analyses_computed, 0u);
     EXPECT_GT(report.analyses_reused, 0u);
+}
+
+/**
+ * Replay core::buildImage's passes (icp -> inline -> harden) over one
+ * AnalysisManager, invalidating what each pass reports as touched, and
+ * require the manager-backed report of every stage to render exactly
+ * as a fresh manager-less runChecks. Returns the number of functions
+ * hardening touched (switches lowered).
+ */
+size_t
+expectIncrementalStagesEqualFresh(const ir::Module& input,
+                                  const profile::EdgeProfile& prof,
+                                  const std::string& name)
+{
+    ir::Module image = input;
+    profile::EdgeProfile working = prof;
+    AnalysisManager am(image);
+    auto stage = [&](const char* pass, bool coverage, bool profile_flow) {
+        CheckOptions opts;
+        opts.targets = true;
+        opts.coverage = coverage;
+        opts.defense = harden::DefenseConfig::all();
+        opts.profile_flow = profile_flow;
+        opts.profile = &prof;
+        const std::string cached =
+            check::renderJson(check::runChecks(image, opts, &am).diags);
+        EXPECT_EQ(cached,
+                  check::renderJson(check::runChecks(image, opts).diags))
+            << name << ", stage " << pass;
+    };
+    auto invalidate = [&](const std::vector<ir::FuncId>& touched) {
+        for (ir::FuncId f : touched)
+            am.invalidate(f);
+    };
+
+    stage("input", false, true);
+    opt::IcpConfig icp;
+    icp.budget = 0.99999;
+    invalidate(opt::runIcp(image, working, icp).touched);
+    stage("icp", false, false);
+    opt::PibeInlinerConfig inl;
+    inl.budget = 0.999999;
+    invalidate(opt::runPibeInliner(image, working, inl).touched);
+    stage("inline", false, false);
+    std::vector<ir::FuncId> touched;
+    harden::applyDefenses(image, harden::DefenseConfig::all(), &touched);
+    invalidate(touched);
+    stage("harden", true, false);
+    return touched.size();
+}
+
+// The sandwich re-audits only what a pass touched; its report must
+// still equal a from-scratch audit at every stage.
+TEST(Sandwich, IncrementalStagesEqualFreshChecks)
+{
+    size_t lowered = 0;
+    for (const uint64_t insts : {10000u, 100000u}) {
+        for (const uint64_t seed : {7u, 42u}) {
+            scale::ScaleConfig cfg;
+            cfg.target_insts = insts;
+            cfg.seed = seed;
+            const ir::Module m = scale::buildScaleModule(cfg);
+            scale::SyntheticProfileConfig pcfg;
+            pcfg.seed = seed;
+            lowered += expectIncrementalStagesEqualFresh(
+                m, scale::synthesizeProfile(m, pcfg),
+                "genkernel " + std::to_string(insts) + " seed " +
+                    std::to_string(seed));
+        }
+    }
+    // Hardening lowered switches, so its stage re-audited something.
+    EXPECT_GT(lowered, 0u);
+
+    {
+        kernel::KernelConfig kcfg;
+        kcfg.num_drivers = 64;
+        const kernel::KernelImage k = kernel::buildKernel(kcfg);
+        const profile::EdgeProfile prof = core::collectProfile(
+            k.module, k.info, workload::makeLmbenchSuite(), 10);
+        expectIncrementalStagesEqualFresh(k.module, prof,
+                                          "64-driver kernel");
+    }
+
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        test::GenConfig gcfg;
+        gcfg.seed = seed;
+        const ir::Module m = test::generateModule(gcfg);
+        profile::EdgeProfile prof;
+        uarch::Simulator sim(m);
+        sim.setTimingEnabled(false);
+        sim.setProfiler(&prof);
+        for (const auto& args : test::argMatrix())
+            sim.run(test::generatedMain(m), args);
+        expectIncrementalStagesEqualFresh(
+            m, prof, "generated seed " + std::to_string(seed));
+    }
+}
+
+// Cached findings read the module's shape: adding a function makes a
+// constant function address that was out of range valid, so the
+// cached lint.call-target error must go, as it does in a fresh run.
+TEST(Sandwich, ShapeChangeDropsCachedFindings)
+{
+    ir::Module m;
+    const ir::FuncId caller = m.addFunction("caller", 0);
+    {
+        ir::FunctionBuilder b(m, caller);
+        b.icall(b.constI(ir::funcAddrValue(1)), {});
+        b.ret();
+    }
+    AnalysisManager am(m);
+    ASSERT_EQ(withId(check::runChecks(m, CheckOptions{}, &am),
+                     "lint.call-target")
+                  .size(),
+              1u);
+
+    const ir::FuncId late = m.addFunction("late", 0);
+    {
+        ir::FunctionBuilder b(m, late);
+        b.ret();
+    }
+    const CheckReport cached = check::runChecks(m, CheckOptions{}, &am);
+    EXPECT_TRUE(withId(cached, "lint.call-target").empty());
+    EXPECT_EQ(check::renderJson(cached.diags),
+              check::renderJson(check::runChecks(m, CheckOptions{}).diags));
+}
+
+// A build that fails structural verification is an error value naming
+// the stage and its first finding, not an abort.
+TEST(Sandwich, TryBuildImageReturnsStructuralErrors)
+{
+    ir::Module m;
+    const ir::FuncId f = m.addFunction("broken", 0);
+    {
+        ir::FunctionBuilder b(m, f);
+        b.ret();
+    }
+    m.func(f).blocks[0].insts.front().site_id = ir::kNoSite;
+
+    core::BuildReport rep;
+    const core::BuildResult built = core::tryBuildImage(
+        m, profile::EdgeProfile{}, core::OptConfig{},
+        harden::DefenseConfig::all(), &rep);
+    EXPECT_FALSE(built.image);
+    EXPECT_EQ(built.error.rfind("pass sandwich: structural verification "
+                                "failed at stage 'input': "
+                                "error[verify.function] after input "
+                                "broken",
+                                0),
+              0u)
+        << built.error;
+    ASSERT_FALSE(rep.sandwich.empty());
+    EXPECT_EQ(rep.sandwich.front().check_id, "verify.function");
+
+    core::OptConfig unaudited;
+    unaudited.sandwich = false;
+    unaudited.enable_icp = false;
+    unaudited.inliner = core::InlinerKind::kNone;
+    const core::BuildResult plain = core::tryBuildImage(
+        m, profile::EdgeProfile{}, unaudited, harden::DefenseConfig::all());
+    EXPECT_FALSE(plain.image);
+    EXPECT_EQ(plain.error.rfind("module verification failed", 0), 0u)
+        << plain.error;
 }
 
 TEST(Sandwich, ModuleCleanupStagePreservesBehaviour)

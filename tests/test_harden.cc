@@ -1,9 +1,14 @@
 /** @file Tests for the hardening pass and coverage accounting. */
 #include <gtest/gtest.h>
 
+#include "check/cfg.h"
+#include "check/dataflow.h"
+#include "check/target_sets.h"
 #include "harden/harden.h"
 #include "ir/builder.h"
+#include "kernel/kernel.h"
 #include "opt/jump_tables.h"
+#include "scale/scale_builder.h"
 #include "tests/test_util.h"
 
 namespace pibe {
@@ -182,6 +187,108 @@ TEST_P(HardenCombos, AllCombinationsPreserveBehaviour)
 
 INSTANTIATE_TEST_SUITE_P(AllCombos, HardenCombos,
                          ::testing::Range(0, 16));
+
+/** Modules with switches and indirect calls, in several functions. */
+std::vector<Module>
+switchAndICallModules()
+{
+    std::vector<Module> out;
+    out.push_back(makeSurfaceModule());
+    kernel::KernelConfig kcfg;
+    kcfg.num_drivers = 8;
+    out.push_back(kernel::buildKernel(kcfg).module);
+    scale::ScaleConfig scfg;
+    scfg.target_insts = 10000;
+    out.push_back(scale::buildScaleModule(scfg));
+    return out;
+}
+
+size_t
+switchesIn(const ir::Function& f)
+{
+    size_t n = 0;
+    for (const auto& bb : f.blocks)
+        n += bb.insts.back().op == ir::Opcode::kSwitch;
+    return n;
+}
+
+// `touched` is the incremental-invalidation set of the pass sandwich:
+// exactly the functions whose switches were lowered, not the ones that
+// were only retagged.
+TEST(Harden, TouchedIsExactlyTheLoweredFunctions)
+{
+    for (Module& m : switchAndICallModules()) {
+        const Module before = m;
+        std::vector<ir::FuncId> touched;
+        const auto report =
+            harden::applyDefenses(m, DefenseConfig::all(), &touched);
+        std::vector<ir::FuncId> lowered;
+        for (const ir::Function& f : m.functions())
+            if (switchesIn(f) < switchesIn(before.func(f.id)))
+                lowered.push_back(f.id);
+        EXPECT_GT(report.lowered_switches, 0u);
+        EXPECT_GT(report.protected_icalls, 0u);
+        EXPECT_EQ(touched, lowered);
+    }
+}
+
+void
+expectSameCfgAndLiveness(const ir::Function& a, const ir::Function& b)
+{
+    const check::Cfg ca(a);
+    const check::Cfg cb(b);
+    ASSERT_EQ(ca.numBlocks(), cb.numBlocks()) << a.name;
+    EXPECT_EQ(ca.reversePostOrder(), cb.reversePostOrder()) << a.name;
+    const check::Liveness la(a, ca);
+    const check::Liveness lb(b, cb);
+    for (ir::BlockId blk = 0; blk < ca.numBlocks(); ++blk) {
+        EXPECT_EQ(ca.succs(blk), cb.succs(blk)) << a.name;
+        EXPECT_EQ(ca.preds(blk), cb.preds(blk)) << a.name;
+        EXPECT_EQ(ca.isReachable(blk), cb.isReachable(blk)) << a.name;
+        EXPECT_EQ(ca.inCycle(blk), cb.inCycle(blk)) << a.name;
+        EXPECT_TRUE(la.liveIn(blk) == lb.liveIn(blk)) << a.name;
+        EXPECT_TRUE(la.liveOut(blk) == lb.liveOut(blk)) << a.name;
+    }
+}
+
+// Retagging schemes changes nothing any cached analysis reads, so a
+// switch-free module reports no touched functions, and its CFGs,
+// liveness and feasible target sets are the same after hardening.
+TEST(Harden, RetagOnlyTouchesNothing)
+{
+    std::vector<Module> modules = switchAndICallModules();
+    modules.push_back(test::generateModule(test::GenConfig{}));
+    for (Module& m : modules) {
+        opt::lowerJumpTables(m);
+        const Module before = m;
+        std::vector<ir::FuncId> touched;
+        const auto report =
+            harden::applyDefenses(m, DefenseConfig::all(), &touched);
+        EXPECT_GT(report.protected_rets, 0u);
+        EXPECT_TRUE(touched.empty());
+
+        for (const ir::Function& f : m.functions())
+            if (!f.isDeclaration())
+                expectSameCfgAndLiveness(before.func(f.id), f);
+
+        check::TargetSetAnalysis sets_before(before);
+        check::TargetSetAnalysis sets_after(m);
+        const auto& sa = sets_before.sites();
+        const auto& sb = sets_after.sites();
+        ASSERT_EQ(sa.size(), sb.size());
+        for (auto ia = sa.begin(), ib = sb.begin(); ia != sa.end();
+             ++ia, ++ib) {
+            EXPECT_EQ(ia->first, ib->first);
+            EXPECT_EQ(ia->second.func, ib->second.func);
+            EXPECT_EQ(ia->second.block, ib->second.block);
+            EXPECT_EQ(ia->second.index, ib->second.index);
+            EXPECT_EQ(ia->second.ptr, ib->second.ptr);
+            EXPECT_EQ(ia->second.is_asm, ib->second.is_asm);
+            EXPECT_EQ(ia->second.incomplete, ib->second.incomplete);
+            EXPECT_EQ(ia->second.targets, ib->second.targets);
+        }
+    }
+}
 
 } // namespace
 } // namespace pibe

@@ -592,6 +592,10 @@ TEST(ServeServer, CorruptCachedImageIsAnErrorResponse)
                   "function"),
               std::string::npos)
         << bad["error"].asString();
+    EXPECT_EQ(callServer(fresh, "metrics", Json::object())["cache"]
+                        ["corrupt"]
+                  .asInt(),
+              1);
 
     Json other = Json::object();
     other.set("defense", "lvi");
@@ -661,7 +665,12 @@ TEST(ServeCacheSharing, CorruptMeasurementArtifactIsACacheMiss)
                   std::bit_cast<uint64_t>(cold.ops_per_sec));
         EXPECT_EQ(again.stats.cycles, cold.stats.cycles);
         EXPECT_EQ(cache.stats().puts, 1u);
+        EXPECT_EQ(cache.stats().corrupt, 1u);
         EXPECT_EQ(readAll(arts[0]), good);
+        // The rewritten entry decodes again: a hit, nothing corrupt.
+        measure(&cache);
+        EXPECT_EQ(cache.stats().corrupt, 1u);
+        EXPECT_EQ(cache.stats().puts, 1u);
     }
 }
 

@@ -941,7 +941,8 @@ cmdGenkernel(Args& args)
  * `insts` instructions, synthesize its profile, time one print and one
  * parse of the module's PIR text, build the hardened image with
  * core::buildImage at `pibe optimize`'s defaults, and write one JSON
- * object with timings, the image digest, and audit counters to `fd`.
+ * object with timings (build_ms and, within it, the sandwich stages'
+ * audit_ms), the image digest, and audit counters to `fd`.
  * Runs in the child so the parent can read peak RSS from wait4().
  * Exits 1 if the re-parsed module's digest differs from the original.
  */
@@ -1003,6 +1004,7 @@ runScalebenchChild(uint64_t insts, uint64_t seed, int fd)
         "\"icall_sites\":%llu,"
         "\"gen_ms\":%.1f,\"profile_ms\":%.1f,\"print_ms\":%.1f,"
         "\"parse_ms\":%.1f,\"parse_mb_s\":%.1f,\"build_ms\":%.1f,"
+        "\"audit_ms\":%.1f,"
         "\"promoted_targets\":%u,\"inlined_sites\":%u,"
         "\"analyses_computed\":%llu,\"analyses_reused\":%llu,"
         "\"sandwich_errors\":%llu,"
@@ -1014,7 +1016,7 @@ runScalebenchChild(uint64_t insts, uint64_t seed, int fd)
         static_cast<unsigned long long>(stats.icall_sites),
         ms(t0, t1), ms(t1, t2), print_ms, parse_ms,
         static_cast<double>(text_bytes) / 1e3 / std::max(parse_ms, 1e-3),
-        ms(t3, t4),
+        ms(t3, t4), rep.audit_ms,
         rep.icp.promoted_targets, rep.inlining.inlined_sites,
         static_cast<unsigned long long>(rep.analyses_computed),
         static_cast<unsigned long long>(rep.analyses_reused),
@@ -1080,13 +1082,14 @@ cmdScalebench(Args& args)
         const int64_t errors = row.json["sandwich_errors"].asInt();
         clean = clean && errors == 0;
         std::printf("  %8llu insts: gen %6.0f ms, print %5.0f ms, "
-                    "parse %5.0f ms, build %7.0f ms, "
+                    "parse %5.0f ms, build %7.0f ms (audit %6.0f ms), "
                     "rss %ld MiB, errors %lld, digest %s\n",
                     static_cast<unsigned long long>(n),
                     row.json["gen_ms"].asDouble(),
                     row.json["print_ms"].asDouble(),
                     row.json["parse_ms"].asDouble(),
                     row.json["build_ms"].asDouble(),
+                    row.json["audit_ms"].asDouble(),
                     row.maxrss_kb / 1024,
                     static_cast<long long>(errors),
                     row.json["digest"].asString().c_str());
