@@ -10,9 +10,9 @@ AnalysisManager::cfg(ir::FuncId f)
     Entry& e = entry(f);
     if (!e.cfg) {
         e.cfg = std::make_unique<Cfg>(module_.func(f));
-        ++computations_;
+        count(computations_);
     } else {
-        ++hits_;
+        count(hits_);
     }
     return *e.cfg;
 }
@@ -23,9 +23,9 @@ AnalysisManager::domTree(ir::FuncId f)
     Entry& e = entry(f);
     if (!e.dom) {
         e.dom = std::make_unique<DomTree>(cfg(f));
-        ++computations_;
+        count(computations_);
     } else {
-        ++hits_;
+        count(hits_);
     }
     return *e.dom;
 }
@@ -36,9 +36,9 @@ AnalysisManager::liveness(ir::FuncId f)
     Entry& e = entry(f);
     if (!e.live) {
         e.live = std::make_unique<Liveness>(module_.func(f), cfg(f));
-        ++computations_;
+        count(computations_);
     } else {
-        ++hits_;
+        count(hits_);
     }
     return *e.live;
 }
@@ -50,9 +50,9 @@ AnalysisManager::frameLiveness(ir::FuncId f)
     if (!e.frame_live) {
         e.frame_live =
             std::make_unique<FrameLiveness>(module_.func(f), cfg(f));
-        ++computations_;
+        count(computations_);
     } else {
-        ++hits_;
+        count(hits_);
     }
     return *e.frame_live;
 }
@@ -64,9 +64,9 @@ AnalysisManager::reachingDefs(ir::FuncId f)
     if (!e.reaching) {
         e.reaching =
             std::make_unique<ReachingDefs>(module_.func(f), cfg(f));
-        ++computations_;
+        count(computations_);
     } else {
-        ++hits_;
+        count(hits_);
     }
     return *e.reaching;
 }
@@ -78,9 +78,9 @@ AnalysisManager::definiteAssignment(ir::FuncId f)
     if (!e.assigned) {
         e.assigned = std::make_unique<DefiniteAssignment>(module_.func(f),
                                                           cfg(f));
-        ++computations_;
+        count(computations_);
     } else {
-        ++hits_;
+        count(hits_);
     }
     return *e.assigned;
 }
@@ -118,12 +118,13 @@ AnalysisManager::lintFindings(ir::FuncId f)
 
 void
 AnalysisManager::storeLintFindings(ir::FuncId f,
-                                   std::span<const Diagnostic> diags)
+                                   std::vector<Diagnostic> diags)
 {
     Entry& e = entry(f);
-    PIBE_ASSERT(e.verified && !e.linted, "lint findings of ",
-                module_.func(f).name, " stored out of order");
-    e.findings.insert(e.findings.end(), diags.begin(), diags.end());
+    PIBE_ASSERT(e.verified && e.num_verify == 0 && !e.linted,
+                "lint findings of ", module_.func(f).name,
+                " stored out of order");
+    e.findings = std::move(diags);
     e.linted = true;
     // Only the lint sweep reads these, and it will not run on `f`
     // again until `f` changes; the findings stand in for them.
@@ -147,6 +148,7 @@ AnalysisManager::syncShape()
         e.num_verify = 0;
         e.verified = e.linted = false;
     }
+    entries_.resize(module_.numFunctions());
     shape_globals_ = module_.numGlobals();
     shape_params_.resize(module_.numFunctions());
     for (ir::FuncId f = 0; f < shape_params_.size(); ++f)

@@ -15,10 +15,21 @@
  * module (the function and global counts, callees' parameter counts);
  * runChecks() calls syncShape() first, which drops every cached
  * finding when that shape changed.
+ *
+ * Thread safety: the per-function queries (cfg() through
+ * definiteAssignment(), verifyFindings(), analyzable(), lintFindings())
+ * and storeLintFindings() may run concurrently on *distinct* functions
+ * (each function owns one slot, pre-sized by the constructor and
+ * syncShape(); the hit and computation counters are atomic). Everything
+ * else — targetSets(), invalidate(), invalidateAll(), syncShape() —
+ * is caller-only: no other call may be in flight. runChecks() fills the
+ * slots of cache-missed functions on a runtime::parallelFor sweep and
+ * then reads them back in FuncId order on the calling thread.
  */
 #ifndef PIBE_CHECK_ANALYSIS_MANAGER_H_
 #define PIBE_CHECK_ANALYSIS_MANAGER_H_
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <span>
@@ -65,9 +76,9 @@ class AnalysisManager
         if (!targets_) {
             targets_ =
                 std::make_unique<TargetSetAnalysis>(module_, roots);
-            ++computations_;
+            count(computations_);
         } else {
-            ++hits_;
+            count(hits_);
         }
         return *targets_;
     }
@@ -80,6 +91,14 @@ class AnalysisManager
 
     /** True if `f` verifies, so its analyses may run. */
     bool analyzable(ir::FuncId f) { return verifyFindings(f).empty(); }
+
+    /** True if verifyFindings(f) would be served from the cache. */
+    bool
+    verifyCached(ir::FuncId f) const
+    {
+        return module_.func(f).isDeclaration() ||
+               (f < entries_.size() && entries_[f].verified);
+    }
 
     /**
      * The `lint.*` findings recorded for `f` by storeLintFindings()
@@ -94,13 +113,16 @@ class AnalysisManager
      * liveness, reaching defs, definite assignment): until `f` is
      * invalidated its findings are served from here, so nothing reads
      * them. A later query recomputes them.
+     * @pre analyzable(f) and f has a body.
      */
-    void storeLintFindings(ir::FuncId f, std::span<const Diagnostic> diags);
+    void storeLintFindings(ir::FuncId f, std::vector<Diagnostic> diags);
 
     /**
      * Drop every cached finding if the function count, the global
      * count or any function's parameter count changed since the last
-     * call. One O(functions) compare; runChecks() calls it first.
+     * call, and size the per-function slots to the module. One
+     * O(functions) compare; runChecks() calls it first, and a caller
+     * that added functions calls it before querying them.
      */
     void syncShape();
 
@@ -128,10 +150,10 @@ class AnalysisManager
     }
 
     /** Analyses computed since construction (cache-miss counter). */
-    size_t computations() const { return computations_; }
+    size_t computations() const { return computations_.load(); }
 
     /** Cached results served since construction (cache-hit counter). */
-    size_t hits() const { return hits_; }
+    size_t hits() const { return hits_.load(); }
 
   private:
     struct Entry
@@ -154,15 +176,19 @@ class AnalysisManager
     Entry&
     entry(ir::FuncId f)
     {
-        PIBE_ASSERT(f < module_.numFunctions(), "bad FuncId ", f);
+        // Slots never grow here: that would race with the other
+        // functions' queries. syncShape() sizes them to the module.
+        PIBE_ASSERT(f < entries_.size(), "FuncId ", f,
+                    " added since the last syncShape()");
         PIBE_ASSERT(!module_.func(f).isDeclaration(),
                     "analysis of declaration ", module_.func(f).name);
-        // Passes may add functions (ICP continuation splits never do,
-        // but future passes might); grow rather than assert so one
-        // manager can span a whole pass pipeline.
-        if (f >= entries_.size())
-            entries_.resize(module_.numFunctions());
         return entries_[f];
+    }
+
+    static void
+    count(std::atomic<size_t>& counter)
+    {
+        counter.fetch_add(1, std::memory_order_relaxed);
     }
 
     const ir::Module& module_;
@@ -172,8 +198,8 @@ class AnalysisManager
      *  function's parameter count (one per function). */
     size_t shape_globals_ = 0;
     std::vector<uint32_t> shape_params_;
-    size_t computations_ = 0;
-    size_t hits_ = 0;
+    std::atomic<size_t> computations_{0};
+    std::atomic<size_t> hits_{0};
 };
 
 } // namespace pibe::check

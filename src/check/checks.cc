@@ -10,12 +10,27 @@
 
 #include "ir/printer.h"
 #include "ir/verifier.h"
+#include "runtime/thread_pool.h"
 
 namespace pibe::check {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/** Functions per parallelFor chunk of the verify and lint sweeps. */
+constexpr size_t kFuncsPerChunk = 16;
+
+/**
+ * Instructions of cache-missed functions per helper thread a verify or
+ * lint sweep recruits: a sweep over fewer runs on the caller alone.
+ * Each helper thread that allocates gets its own glibc malloc arena,
+ * which stays resident, so small modules (the 64-driver kernel and
+ * its 61k-instruction image) and sandwich stages that touched a few
+ * functions stay serial; the 448-driver kernel gets two helpers and a
+ * 10^6-instruction module every one.
+ */
+constexpr uint64_t kInstsPerHelper = 65536;
 
 double
 msSince(Clock::time_point start)
@@ -25,110 +40,52 @@ msSince(Clock::time_point start)
         .count();
 }
 
-/** Shared emission state of one suite run. */
-class Runner
+/** Append a finding located at (f, b, inst) to `out`. */
+Diagnostic&
+emitInto(std::vector<Diagnostic>& out, const ir::Module& module,
+         const char* id, Severity sev, ir::FuncId f, ir::BlockId b,
+         int32_t inst, std::string message)
+{
+    Diagnostic& d = out.emplace_back();
+    d.check_id = id;
+    d.severity = sev;
+    d.message = std::move(message);
+    d.func = f;
+    d.func_name = module.func(f).name;
+    d.block = b;
+    d.inst = inst;
+    return d;
+}
+
+/**
+ * The lint sweep of one worker: lints one function at a time into a
+ * local vector and stores the findings in the function's manager slot,
+ * so workers on distinct functions share nothing mutable.
+ */
+class Linter
 {
   public:
-    Runner(const ir::Module& module, const CheckOptions& opts,
-           AnalysisManager& am)
-        : module_(module), opts_(opts), am_(am)
+    Linter(const ir::Module& module, AnalysisManager& am)
+        : module_(module), am_(am)
     {
     }
 
-    CheckReport
-    run()
+    /** Lint `f` and store its findings. @pre am.analyzable(f.id). */
+    void
+    lint(const ir::Function& f)
     {
-        auto timed = [this](const char* name, auto&& fn) {
-            const auto t0 = Clock::now();
-            fn();
-            report_.group_ms.emplace_back(name, msSince(t0));
-        };
-        if (opts_.verify)
-            timed("verify", [this] { runVerify(); });
-        if (opts_.lint)
-            timed("lint", [this] { runLints(); });
-        if (opts_.coverage)
-            timed("coverage", [this] { runCoverage(); });
-        if (opts_.targets)
-            timed("targets", [this] { runTargets(); });
-        if (opts_.profile_flow && opts_.profile)
-            timed("profile", [this] { runProfileFlow(); });
-        return std::move(report_);
+        lintFunction(f);
+        am_.storeLintFindings(f.id, std::move(diags_));
+        diags_.clear();
     }
 
   private:
-    // --- emission helpers -------------------------------------------
-
-    Diagnostic&
-    emit(const char* id, Severity sev, std::string message)
-    {
-        Diagnostic d;
-        d.check_id = id;
-        d.severity = sev;
-        d.message = std::move(message);
-        report_.diags.push_back(std::move(d));
-        return report_.diags.back();
-    }
-
     Diagnostic&
     emitAt(const char* id, Severity sev, ir::FuncId f, ir::BlockId b,
            int32_t inst, std::string message)
     {
-        Diagnostic& d = emit(id, sev, std::move(message));
-        d.func = f;
-        d.func_name = module_.func(f).name;
-        d.block = b;
-        d.inst = inst;
-        return d;
-    }
-
-    void
-    append(std::span<const Diagnostic> diags)
-    {
-        report_.diags.insert(report_.diags.end(), diags.begin(),
-                             diags.end());
-    }
-
-    bool
-    isAllowed(const ir::Function& f, ir::SiteId site) const
-    {
-        if (std::find(opts_.allowed_sites.begin(),
-                      opts_.allowed_sites.end(),
-                      site) != opts_.allowed_sites.end())
-            return true;
-        return std::find(opts_.allowed_funcs.begin(),
-                         opts_.allowed_funcs.end(),
-                         f.name) != opts_.allowed_funcs.end();
-    }
-
-    // --- verify group -----------------------------------------------
-
-    void
-    runVerify()
-    {
-        for (const ir::Function& f : module_.functions())
-            append(am_.verifyFindings(f.id));
-        for (const std::string& p : ir::verifyModuleSiteIds(module_))
-            emit("verify.sites", Severity::kError, p);
-    }
-
-    // --- lint group -------------------------------------------------
-
-    void
-    runLints()
-    {
-        for (const ir::Function& f : module_.functions()) {
-            if (f.isDeclaration() || !am_.analyzable(f.id))
-                continue;
-            if (auto cached = am_.lintFindings(f.id)) {
-                append(*cached);
-                continue;
-            }
-            const size_t begin = report_.diags.size();
-            lintFunction(f);
-            am_.storeLintFindings(
-                f.id, std::span(report_.diags).subspan(begin));
-        }
+        return emitInto(diags_, module_, id, sev, f, b, inst,
+                        std::move(message));
     }
 
     void
@@ -288,6 +245,154 @@ class Runner
                 d.site = inst.site_id;
             }
         }
+    }
+
+    const ir::Module& module_;
+    AnalysisManager& am_;
+    std::vector<Diagnostic> diags_;
+    std::vector<ir::Reg> uses_;
+    std::vector<size_t> def_ids_;
+};
+
+/** Shared emission state of one suite run. */
+class Runner
+{
+  public:
+    Runner(const ir::Module& module, const CheckOptions& opts,
+           AnalysisManager& am)
+        : module_(module), opts_(opts), am_(am)
+    {
+    }
+
+    CheckReport
+    run()
+    {
+        auto timed = [this](const char* name, auto&& fn) {
+            const auto t0 = Clock::now();
+            sweep_extra_ms_ = 0;
+            fn();
+            const double ms = msSince(t0);
+            report_.group_ms.push_back({name, ms, ms + sweep_extra_ms_});
+        };
+        if (opts_.verify)
+            timed("verify", [this] { runVerify(); });
+        if (opts_.lint)
+            timed("lint", [this] { runLints(); });
+        if (opts_.coverage)
+            timed("coverage", [this] { runCoverage(); });
+        if (opts_.targets)
+            timed("targets", [this] { runTargets(); });
+        if (opts_.profile_flow && opts_.profile)
+            timed("profile", [this] { runProfileFlow(); });
+        return std::move(report_);
+    }
+
+  private:
+    // --- emission helpers -------------------------------------------
+
+    Diagnostic&
+    emit(const char* id, Severity sev, std::string message)
+    {
+        Diagnostic d;
+        d.check_id = id;
+        d.severity = sev;
+        d.message = std::move(message);
+        report_.diags.push_back(std::move(d));
+        return report_.diags.back();
+    }
+
+    Diagnostic&
+    emitAt(const char* id, Severity sev, ir::FuncId f, ir::BlockId b,
+           int32_t inst, std::string message)
+    {
+        return emitInto(report_.diags, module_, id, sev, f, b, inst,
+                        std::move(message));
+    }
+
+    void
+    append(std::span<const Diagnostic> diags)
+    {
+        report_.diags.insert(report_.diags.end(), diags.begin(),
+                             diags.end());
+    }
+
+    bool
+    isAllowed(const ir::Function& f, ir::SiteId site) const
+    {
+        if (std::find(opts_.allowed_sites.begin(),
+                      opts_.allowed_sites.end(),
+                      site) != opts_.allowed_sites.end())
+            return true;
+        return std::find(opts_.allowed_funcs.begin(),
+                         opts_.allowed_funcs.end(),
+                         f.name) != opts_.allowed_funcs.end();
+    }
+
+    /**
+     * Fill the manager slots of every function `missing` selects on a
+     * parallelFor sweep, `fill` taking one chunk of them at a time.
+     * The helper count follows the instructions to audit, so it
+     * depends on the input alone. The sweep's work beyond its wall
+     * time is added to the running group's work.
+     */
+    template <typename Missing, typename Fill>
+    void
+    sweep(Missing missing, Fill fill)
+    {
+        std::vector<ir::FuncId> todo;
+        uint64_t insts = 0;
+        for (const ir::Function& f : module_.functions()) {
+            if (missing(f)) {
+                todo.push_back(f.id);
+                insts += f.instructionCount();
+            }
+        }
+        const auto t0 = Clock::now();
+        const double work = runtime::parallelFor(
+            todo.size(), kFuncsPerChunk, insts / kInstsPerHelper,
+            [&](size_t begin, size_t end) {
+                fill(std::span(todo).subspan(begin, end - begin));
+            });
+        sweep_extra_ms_ += work - msSince(t0);
+    }
+
+    // --- verify group -----------------------------------------------
+
+    void
+    runVerify()
+    {
+        sweep(
+            [this](const ir::Function& f) {
+                return !am_.verifyCached(f.id);
+            },
+            [this](std::span<const ir::FuncId> funcs) {
+                for (ir::FuncId f : funcs)
+                    am_.verifyFindings(f);
+            });
+        for (const ir::Function& f : module_.functions())
+            append(am_.verifyFindings(f.id));
+        for (const std::string& p : ir::verifyModuleSiteIds(module_))
+            emit("verify.sites", Severity::kError, p);
+    }
+
+    // --- lint group -------------------------------------------------
+
+    void
+    runLints()
+    {
+        sweep(
+            [this](const ir::Function& f) {
+                return !f.isDeclaration() && !am_.lintFindings(f.id);
+            },
+            [this](std::span<const ir::FuncId> funcs) {
+                Linter linter(module_, am_);
+                for (ir::FuncId f : funcs)
+                    if (am_.analyzable(f))
+                        linter.lint(module_.func(f));
+            });
+        for (const ir::Function& f : module_.functions())
+            if (!f.isDeclaration() && am_.analyzable(f.id))
+                append(*am_.lintFindings(f.id));
     }
 
     // --- coverage group ---------------------------------------------
@@ -820,8 +925,8 @@ class Runner
     const CheckOptions& opts_;
     AnalysisManager& am_;
     CheckReport report_;
-    std::vector<ir::Reg> uses_;
-    std::vector<size_t> def_ids_;
+    /** The running group's sweep work minus sweep wall time. */
+    double sweep_extra_ms_ = 0;
 };
 
 } // namespace

@@ -84,16 +84,24 @@ struct CheckOptions
     std::vector<std::string> roots;
 };
 
+/** Time spent in one checker group. */
+struct GroupTime
+{
+    std::string name;
+    /** Wall time (the group's span). */
+    double ms = 0;
+    /** Busy time summed over every thread that worked for the group
+     *  (its work): above `ms` when a per-function sweep had helpers. */
+    double work_ms = 0;
+};
+
 /** Result of one suite run. */
 struct CheckReport
 {
     std::vector<Diagnostic> diags;
 
-    /**
-     * Wall time per checker group, in run order (`pibe check
-     * --timing`).
-     */
-    std::vector<std::pair<std::string, double>> group_ms;
+    /** Time per checker group, in run order (`pibe check --timing`). */
+    std::vector<GroupTime> group_ms;
 
     size_t errors() const { return countSeverity(diags, Severity::kError); }
     size_t warnings() const

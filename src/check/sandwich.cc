@@ -37,6 +37,7 @@ PassSandwich::afterPass(const std::string& pass,
     stage.pass = pass;
     stage.errors = report.errors();
     stage.warnings = report.warnings();
+    stage.group_ms = std::move(report.group_ms);
 
     std::vector<std::string> keys;
     keys.reserve(report.diags.size());

@@ -34,6 +34,8 @@ struct StageResult
     /** Totals after this stage (all findings, not just fresh). */
     size_t errors = 0;
     size_t warnings = 0;
+    /** Time per checker group of this stage's suite run. */
+    std::vector<GroupTime> group_ms;
 
     bool regressed() const { return !regressed_checks.empty(); }
 

@@ -67,6 +67,7 @@ TargetSetAnalysis::invalidateAll()
     for (FuncSummary& s : summaries_)
         s.dirty = true;
     solved_ = false;
+    resolve_all_ = true;
 }
 
 uint32_t
@@ -103,6 +104,9 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
     ++summaries_extracted_;
 
     const ir::Function& fn = module_.func(f);
+    sum.num_params = fn.num_params;
+    sum.num_regs = fn.num_regs;
+    sum.declaration = fn.isDeclaration();
     const uint32_t nregs = fn.num_regs;
     auto reg_ok = [nregs](ir::Reg r) { return r < nregs; };
 
@@ -273,6 +277,64 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
     }
 }
 
+bool
+TargetSetAnalysis::sameFixpoint(const FuncSummary& before,
+                                const FuncSummary& now)
+{
+    if (before.constraints != now.constraints ||
+        before.icalls != now.icalls ||
+        before.num_params != now.num_params ||
+        before.declaration != now.declaration)
+        return false;
+    // The fixpoint also tests registers against num_regs (parameters,
+    // icall operands); a change in range must re-solve.
+    const uint32_t regs = std::min(before.num_regs, now.num_regs);
+    if (now.num_params > regs)
+        return false;
+    for (const IcallRecord& rec : now.icalls) {
+        if (rec.ptr >= regs || (rec.dst != ir::kNoReg && rec.dst >= regs))
+            return false;
+        for (ir::Reg a : rec.args)
+            if (a >= regs)
+                return false;
+    }
+    return true;
+}
+
+void
+TargetSetAnalysis::relayoutNodes()
+{
+    const std::vector<uint32_t> old_reg = std::move(reg_base_);
+    const std::vector<uint32_t> old_frame = std::move(frame_base_);
+    const std::vector<uint32_t> old_ret = std::move(ret_node_);
+    const uint32_t old_global = global_base_;
+    layoutNodes();
+    if (reg_base_ == old_reg && frame_base_ == old_frame)
+        return;
+    std::vector<SetHandle> pts(num_nodes_);
+    std::vector<bool> incomplete(num_nodes_, false);
+    auto move = [&](uint32_t from, uint32_t to, uint32_t count) {
+        for (uint32_t i = 0; i < count; ++i) {
+            pts[to + i] = std::move(pts_[from + i]);
+            incomplete[to + i] = incomplete_[from + i];
+        }
+    };
+    for (ir::FuncId f = 0; f < reg_base_.size(); ++f) {
+        move(old_reg[f], reg_base_[f],
+             std::min(old_frame[f] - old_reg[f],
+                      frame_base_[f] - reg_base_[f]));
+        move(old_frame[f], frame_base_[f],
+             std::min(old_ret[f] - old_frame[f],
+                      ret_node_[f] - frame_base_[f]));
+        move(old_ret[f], ret_node_[f], 1);
+    }
+    move(old_global, global_base_,
+         static_cast<uint32_t>(module_.numGlobals()));
+    pts_ = std::move(pts);
+    incomplete_ = std::move(incomplete);
+    stats_.nodes = num_nodes_;
+}
+
 void
 TargetSetAnalysis::layoutNodes()
 {
@@ -300,12 +362,31 @@ void
 TargetSetAnalysis::solve()
 {
     const size_t nf = module_.numFunctions();
+    // Keep the last fixpoint if the module kept its functions and
+    // globals and no summary it was built from changed.
+    bool keep = !resolve_all_ && summaries_.size() == nf &&
+                num_nodes_ - global_base_ == module_.numGlobals();
+    resolve_all_ = false;
     if (summaries_.size() < nf)
         summaries_.resize(nf);
-    for (ir::FuncId f = 0; f < nf; ++f)
-        if (summaries_[f].dirty)
+    for (ir::FuncId f = 0; f < nf; ++f) {
+        if (!summaries_[f].dirty)
+            continue;
+        if (!keep) {
             extractSummary(f);
+            continue;
+        }
+        const FuncSummary before = std::move(summaries_[f]);
+        extractSummary(f);
+        keep = sameFixpoint(before, summaries_[f]);
+    }
     ++solves_;
+    if (keep) {
+        relayoutNodes();
+        ++solutions_kept_;
+        solved_ = true;
+        return;
+    }
     layoutNodes();
     stats_ = SolverStats{};
     stats_.nodes = num_nodes_;

@@ -39,7 +39,12 @@
  * The analysis is incremental at summary granularity: constraints are
  * extracted per function and cached; invalidateFunction(f) marks one
  * summary dirty and the next query re-extracts only that summary
- * before re-running the (cheap, module-wide) fixpoint.
+ * before re-running the (cheap, module-wide) fixpoint. When every
+ * re-extracted summary equals the one it replaces (a pass changed
+ * nothing the analysis reads, as when hardening lowers a switch), the
+ * previous fixpoint is kept, its nodes re-laid out if register counts
+ * changed. Global initializers are read by the fixpoint, not by a
+ * summary: a pass that changes one calls invalidateAll().
  *
  * One worklist solver computes the fixpoint (see DESIGN.md §11):
  * whole sets travel along subset edges until nothing changes. Each
@@ -134,7 +139,8 @@ class TargetSetAnalysis
      *  mutating it). The next query re-extracts only this summary. */
     void invalidateFunction(ir::FuncId f);
 
-    /** Mark every summary stale (call after a module-wide pass). */
+    /** Mark every summary stale (call after a module-wide pass); the
+     *  next query always re-runs the fixpoint. */
     void invalidateAll();
 
     /** Per-site feasible targets, keyed by SiteId (solves lazily). */
@@ -162,8 +168,13 @@ class TargetSetAnalysis
      */
     void ensureSolved() { sites(); }
 
-    /** Fixpoint solves run so far (grows on query-after-invalidate). */
+    /** Solves run so far (grows on query-after-invalidate), counting
+     *  the ones that kept the previous fixpoint. */
     size_t solves() const { return solves_; }
+
+    /** Solves that kept the previous fixpoint because no re-extracted
+     *  summary changed. */
+    size_t solutionsKept() const { return solutions_kept_; }
 
     /** Function summaries (re)extracted so far. The incremental
      *  contract: after invalidateFunction(f), the next solve grows
@@ -195,6 +206,8 @@ class TargetSetAnalysis
         uint32_t src = 0; // reg
         ir::FuncId callee = ir::kInvalidFunc;
         ir::FuncId target = ir::kInvalidFunc;
+
+        bool operator==(const Constraint&) const = default;
     };
 
     // One indirect call site, recorded during summary extraction.
@@ -207,12 +220,18 @@ class TargetSetAnalysis
         ir::Reg dst = ir::kNoReg;
         std::vector<ir::Reg> args;
         bool is_asm = false;
+
+        bool operator==(const IcallRecord&) const = default;
     };
 
     struct FuncSummary
     {
         std::vector<Constraint> constraints;
         std::vector<IcallRecord> icalls;
+        /** What the fixpoint reads of the function itself. */
+        uint32_t num_params = 0;
+        uint32_t num_regs = 0;
+        bool declaration = false;
         bool dirty = true;
     };
 
@@ -221,7 +240,10 @@ class TargetSetAnalysis
     using SetHandle = std::shared_ptr<const std::vector<ir::FuncId>>;
 
     void extractSummary(ir::FuncId f);
+    static bool sameFixpoint(const FuncSummary& before,
+                             const FuncSummary& now);
     void layoutNodes();
+    void relayoutNodes();
     void solve();
     uint32_t regNode(ir::FuncId f, ir::Reg r) const;
     uint32_t frameNode(ir::FuncId f, uint32_t slot) const;
@@ -233,7 +255,10 @@ class TargetSetAnalysis
 
     std::vector<FuncSummary> summaries_;
     bool solved_ = false;
+    /** Set by invalidateAll(): the next solve re-runs the fixpoint. */
+    bool resolve_all_ = true;
     size_t solves_ = 0;
+    size_t solutions_kept_ = 0;
     size_t summaries_extracted_ = 0;
 
     // Node layout of the last solve.

@@ -28,9 +28,13 @@ auditStage(check::PassSandwich& sandwich, const std::string& pass,
     const auto t0 = std::chrono::steady_clock::now();
     const check::StageResult& stage =
         sandwich.afterPass(pass, image, opts, &am);
-    rep.audit_ms += std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    rep.audit_ms += ms;
+    rep.audit_work_ms += ms;
+    for (const check::GroupTime& g : stage.group_ms)
+        rep.audit_work_ms += g.work_ms - g.ms;
     rep.sandwich.insert(rep.sandwich.end(), stage.fresh.begin(),
                         stage.fresh.end());
     for (const check::Diagnostic& d : stage.fresh) {

@@ -136,6 +136,10 @@ struct BuildReport
     /** Wall time of the sandwich stages, summed (sandwich mode only;
      *  the rest of the build is passes and layout). */
     double audit_ms = 0;
+    /** Their work: audit_ms with each per-function sweep's wall time
+     *  replaced by the busy time of every thread it used, so
+     *  audit_work_ms / audit_ms is the audit's achieved parallelism. */
+    double audit_work_ms = 0;
     /** The profile as transformed by the passes (promoted weights
      *  moved to direct edges, inherited sites added). */
     profile::EdgeProfile final_profile;

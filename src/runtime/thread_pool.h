@@ -12,6 +12,10 @@
  * stop(StopMode::kCancel) discards tasks that have not started yet —
  * their futures report std::future_errc::broken_promise — and joins as
  * soon as the in-flight tasks finish. The destructor drains.
+ *
+ * parallelFor() is the data-parallel loop of the audit's per-function
+ * sweeps: the caller works through the chunks itself, and helpers from
+ * one process-wide pool join in when they get scheduled.
  */
 #ifndef PIBE_RUNTIME_THREAD_POOL_H_
 #define PIBE_RUNTIME_THREAD_POOL_H_
@@ -102,6 +106,34 @@ class ThreadPool
     uint64_t tasks_cancelled_ = 0;
     bool shutting_down_ = false;
 };
+
+/**
+ * Helpers parallelFor() may recruit: the CPUs in this process's
+ * affinity mask minus one (the caller), so `taskset -c 0` means none.
+ */
+size_t parallelHelpers();
+
+/**
+ * Run `body(begin, end)` over [0, n) in chunks of `grain` consecutive
+ * indices (the last may be shorter), each chunk exactly once, on the
+ * calling thread plus up to `helpers` workers of the process-wide
+ * helper pool (clamped to parallelHelpers() and to the chunk count).
+ *
+ * The caller claims chunks from the same atomic cursor as the helpers
+ * and returns once every chunk is done; it never waits for a helper
+ * that has not started. So a call from inside a pool task (serve's,
+ * the engine's, or another parallelFor's) cannot deadlock, and in a
+ * fork()ed child, which has no workers, the caller runs every chunk
+ * alone. The pool is created by the first call that wants helpers
+ * and never destroyed, so no exit path joins a worker from inside
+ * that worker. After a chunk throws, unclaimed chunks are skipped and
+ * the first exception is rethrown on the caller.
+ *
+ * @return The sweep's work: milliseconds spent in `body`, summed over
+ *         every participant. Its span is the call's wall time.
+ */
+double parallelFor(size_t n, size_t grain, size_t helpers,
+                   const std::function<void(size_t, size_t)>& body);
 
 } // namespace pibe::runtime
 

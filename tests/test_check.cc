@@ -1001,6 +1001,81 @@ TEST(Sandwich, ShapeChangeDropsCachedFindings)
               check::renderJson(check::runChecks(m, CheckOptions{}).diags));
 }
 
+/**
+ * genkernel at `insts` with lint defects in every 7th function body:
+ * a move from a register nothing writes (use-before-def) into one
+ * nothing reads (dead store), and an indirect call that passes no
+ * arguments to a resolvable target taking some (call-arity).
+ */
+ir::Module
+genkernelWithLintDefects(uint64_t insts)
+{
+    scale::ScaleConfig cfg;
+    cfg.target_insts = insts;
+    cfg.seed = 42;
+    ir::Module m = scale::buildScaleModule(cfg);
+    ir::FuncId callee = ir::kInvalidFunc;
+    for (const ir::Function& f : m.functions())
+        if (!f.isDeclaration() && f.num_params > 0)
+            callee = f.id;
+    EXPECT_NE(callee, ir::kInvalidFunc);
+    for (ir::FuncId f = 0; f < m.numFunctions(); f += 7) {
+        ir::Function& fn = m.func(f);
+        if (fn.isDeclaration())
+            continue;
+        const ir::Reg unwritten = fn.num_regs++;
+        const ir::Reg unread = fn.num_regs++;
+        const ir::Reg target = fn.num_regs++;
+        std::vector<ir::Instruction> defects(3);
+        defects[0].op = ir::Opcode::kMove;
+        defects[0].dst = unread;
+        defects[0].a = unwritten;
+        defects[1].op = ir::Opcode::kFuncAddr;
+        defects[1].dst = target;
+        defects[1].callee = callee;
+        defects[2].op = ir::Opcode::kICall;
+        defects[2].dst = fn.num_regs++;
+        defects[2].a = target;
+        defects[2].site_id = m.allocSiteId();
+        auto& entry = fn.blocks[0].insts;
+        entry.insert(entry.begin(), defects.begin(), defects.end());
+    }
+    return m;
+}
+
+// The verify and lint slots of cache-missed functions are filled on a
+// parallel sweep and read back in FuncId order: however the chunks
+// land on threads, every run renders the same report, and the sweep
+// computes exactly the analyses the serial sweep did.
+TEST(Sandwich, ParallelSweepIsDeterministic)
+{
+    // What the serial sweep computed on this module: one CFG and the
+    // lint sweep's four dataflow analyses per analyzable function.
+    constexpr size_t kSerialSweepComputations = 8935;
+    const ir::Module m = genkernelWithLintDefects(100000);
+    const CheckReport fresh = check::runChecks(m, CheckOptions{});
+    for (const char* id :
+         {"lint.use-before-def", "lint.dead-store", "lint.call-arity"})
+        EXPECT_GT(withId(fresh, id).size(), m.numFunctions() / 8) << id;
+    EXPECT_TRUE(withId(fresh, "verify.function").empty());
+    const std::string want = check::renderJson(fresh.diags);
+
+    for (int run = 0; run < 20; ++run) {
+        AnalysisManager am(m);
+        EXPECT_EQ(check::renderJson(check::runChecks(m, {}, &am).diags),
+                  want)
+            << "run " << run;
+        EXPECT_EQ(am.computations(), kSerialSweepComputations);
+        if (run == 0) {
+            EXPECT_EQ(
+                check::renderJson(check::runChecks(m, {}, &am).diags),
+                want)
+                << "manager-cached rerun";
+            EXPECT_EQ(am.computations(), kSerialSweepComputations);
+        }
+    }
+}
+
 // A build that fails structural verification is an error value naming
 // the stage and its first finding, not an abort.
 TEST(Sandwich, TryBuildImageReturnsStructuralErrors)
@@ -1189,9 +1264,10 @@ TEST(Check, CleanKernelStaysCleanAndTimed)
                                  : report.diags.front().render());
 
     std::vector<std::string> names;
-    for (const auto& [name, ms] : report.group_ms) {
+    for (const auto& [name, ms, work_ms] : report.group_ms) {
         names.push_back(name);
         EXPECT_GE(ms, 0.0) << name;
+        EXPECT_GE(work_ms, 0.0) << name;
     }
     EXPECT_EQ(names, (std::vector<std::string>{"verify", "lint",
                                                 "coverage", "targets"}));

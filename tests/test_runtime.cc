@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the experiment runtime (src/runtime) and the engine built
- * on it: thread pool, DAG scheduler, digests, artifact cache, and the
- * bit-identical parallel-vs-serial guarantee of runExperiments().
+ * on it: thread pool, parallelFor, DAG scheduler, digests, artifact
+ * cache, and the bit-identical parallel-vs-serial guarantee of
+ * runExperiments().
  *
- * All tests are prefixed Runtime* so CI can run exactly this suite
- * under ThreadSanitizer (--gtest_filter='Runtime*').
+ * All tests are prefixed Runtime* so CI can run this suite under
+ * ThreadSanitizer (its filter starts with 'Runtime*').
  */
 #include <gtest/gtest.h>
 
@@ -17,8 +18,12 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "pibe/engine.h"
 #include "runtime/artifact_cache.h"
@@ -158,6 +163,124 @@ TEST(RuntimeThreadPool, StopCancelDropsQueuedWork)
     }
     EXPECT_EQ(broken, 50u);
     pool.stop(ThreadPool::StopMode::kCancel); // Idempotent.
+}
+
+// ---------------------------------------------------------------------
+// parallelFor
+
+/** Run a parallelFor over [0, n) and return how often each index ran,
+ *  checking every chunk's bounds against `grain` on the way. */
+std::vector<int>
+indexRuns(size_t n, size_t grain, size_t helpers)
+{
+    std::vector<std::atomic<int>> runs(n);
+    std::atomic<bool> bad_chunk{false};
+    runtime::parallelFor(n, grain, helpers, [&](size_t begin, size_t end) {
+        if (begin % grain != 0 || end <= begin || end - begin > grain ||
+            end > n)
+            bad_chunk = true;
+        for (size_t i = begin; i < end; ++i)
+            runs[i].fetch_add(1);
+    });
+    EXPECT_FALSE(bad_chunk) << "n=" << n << " grain=" << grain;
+    std::vector<int> out;
+    for (const auto& r : runs)
+        out.push_back(r.load());
+    return out;
+}
+
+TEST(RuntimeParallelFor, EveryIndexRunsExactlyOnce)
+{
+    for (const size_t n : {size_t{0}, size_t{5}, size_t{16},
+                           size_t{20000}}) {
+        for (const size_t helpers : {0, 1, 3, 64}) {
+            const std::vector<int> runs = indexRuns(n, 16, helpers);
+            EXPECT_EQ(runs, std::vector<int>(n, 1))
+                << "n=" << n << " helpers=" << helpers;
+        }
+    }
+    EXPECT_EQ(runtime::parallelFor(0, 16, 3, [](size_t, size_t) {
+                  ADD_FAILURE() << "body ran for an empty range";
+              }),
+              0.0);
+}
+
+TEST(RuntimeParallelFor, ZeroHelpersRunsOnTheCaller)
+{
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    size_t indices = 0;
+    const double work =
+        runtime::parallelFor(1000, 7, 0, [&](size_t begin, size_t end) {
+            std::lock_guard<std::mutex> lock(mu);
+            threads.insert(std::this_thread::get_id());
+            indices += end - begin;
+        });
+    EXPECT_EQ(indices, 1000u);
+    EXPECT_EQ(threads,
+              std::set<std::thread::id>{std::this_thread::get_id()});
+    EXPECT_GE(work, 0.0);
+}
+
+// The caller never waits for a helper that has not started, so a
+// sweep inside a pool task — even with every worker of that pool busy
+// running it, and with sweeps nested inside the sweep — completes.
+TEST(RuntimeParallelFor, NestedCallFromPoolTaskCompletes)
+{
+    ThreadPool pool(1);
+    std::atomic<size_t> inner{0};
+    auto done = pool.submit([&] {
+        runtime::parallelFor(64, 4, 3, [&](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) {
+                runtime::parallelFor(50, 8, 3, [&](size_t b, size_t e) {
+                    inner.fetch_add(e - b);
+                });
+            }
+        });
+    });
+    done.get();
+    EXPECT_EQ(inner.load(), 64u * 50u);
+}
+
+TEST(RuntimeParallelFor, ExceptionIsRethrownOnTheCaller)
+{
+    std::atomic<size_t> ran{0};
+    EXPECT_THROW(runtime::parallelFor(
+                     1000, 10, 3,
+                     [&](size_t begin, size_t) {
+                         ran.fetch_add(1);
+                         if (begin == 500)
+                             throw std::runtime_error("chunk 50");
+                     }),
+                 std::runtime_error);
+    EXPECT_GE(ran.load(), 1u);
+    // The pool survives the failed sweep.
+    EXPECT_EQ(indexRuns(300, 10, 3), std::vector<int>(300, 1));
+}
+
+// pibe scalebench forks one child per size: a child inherits the
+// helper pool object but none of its threads, so its sweeps must run
+// on the caller alone instead of waiting for workers that never come.
+TEST(RuntimeParallelFor, ForkedChildSweepsOnTheCallerAlone)
+{
+    EXPECT_EQ(indexRuns(2000, 1, 3), std::vector<int>(2000, 1));
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        std::vector<int> runs(2000, 0);
+        bool other_thread = false;
+        const std::thread::id self = std::this_thread::get_id();
+        runtime::parallelFor(2000, 1, 3, [&](size_t begin, size_t end) {
+            other_thread |= std::this_thread::get_id() != self;
+            for (size_t i = begin; i < end; ++i)
+                ++runs[i];
+        });
+        _exit(!other_thread && runs == std::vector<int>(2000, 1) ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 // ---------------------------------------------------------------------

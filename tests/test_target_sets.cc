@@ -397,6 +397,76 @@ TEST(TargetSets, IncrementalInvalidationReextractsExactlyOne)
     (void)sites_before;
 }
 
+/** Every register's facts and every site of `tsa` equal a fresh
+ *  analysis of the same module. */
+void
+expectSameAsFresh(TargetSetAnalysis& tsa, const Module& m,
+                  const std::string& what)
+{
+    TargetSetAnalysis fresh(m);
+    for (ir::FuncId f = 0; f < m.numFunctions(); ++f) {
+        for (ir::Reg r = 0; r < m.func(f).num_regs; ++r) {
+            const check::TargetSet got = tsa.regTargets(f, r);
+            const check::TargetSet want = fresh.regTargets(f, r);
+            EXPECT_EQ(got.targets, want.targets)
+                << what << " f" << f << " r" << r;
+            EXPECT_EQ(got.incomplete, want.incomplete)
+                << what << " f" << f << " r" << r;
+        }
+    }
+    ASSERT_EQ(tsa.sites().size(), fresh.sites().size()) << what;
+    for (const auto& [sid, st] : fresh.sites()) {
+        const check::SiteTargets* got = tsa.site(sid);
+        ASSERT_NE(got, nullptr) << what;
+        EXPECT_EQ(got->targets, st.targets) << what;
+        EXPECT_EQ(got->incomplete, st.incomplete) << what;
+        EXPECT_EQ(got->block, st.block) << what;
+        EXPECT_EQ(got->index, st.index) << what;
+    }
+}
+
+// A re-solve whose re-extracted summaries all equal the cached ones
+// keeps the fixpoint (re-laid out when registers were added); any
+// real change, or invalidateAll(), re-runs it.
+TEST(TargetSets, UnchangedSummariesKeepTheFixpoint)
+{
+    test::GenConfig gcfg;
+    gcfg.seed = 11;
+    Module m = test::generateModule(gcfg);
+    TargetSetAnalysis tsa(m);
+    tsa.ensureSolved();
+    ir::FuncId body = 0;
+    while (m.func(body).isDeclaration())
+        ++body;
+
+    tsa.invalidateFunction(body);
+    expectSameAsFresh(tsa, m, "untouched");
+    EXPECT_EQ(tsa.solutionsKept(), 1u);
+
+    // Unused registers move every later node.
+    m.func(body).num_regs += 3;
+    tsa.invalidateFunction(body);
+    expectSameAsFresh(tsa, m, "registers added");
+    EXPECT_EQ(tsa.solutionsKept(), 2u);
+    EXPECT_EQ(tsa.solves(), 3u);
+
+    tsa.invalidateAll();
+    expectSameAsFresh(tsa, m, "invalidateAll");
+    EXPECT_EQ(tsa.solutionsKept(), 2u);
+
+    // A new function-address seed changes the summary.
+    ir::Function& fn = m.func(body);
+    ir::Instruction seed;
+    seed.op = ir::Opcode::kFuncAddr;
+    seed.dst = fn.num_regs++;
+    seed.callee = body;
+    fn.blocks[0].insts.insert(fn.blocks[0].insts.begin(), seed);
+    tsa.invalidateFunction(body);
+    expectSameAsFresh(tsa, m, "seed added");
+    EXPECT_EQ(tsa.solutionsKept(), 2u);
+    EXPECT_EQ(tsa.solves(), 5u);
+}
+
 TEST(TargetSets, AnalysisManagerInvalidationTracksMutation)
 {
     TableModule t = makeTableModule();

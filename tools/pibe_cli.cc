@@ -53,6 +53,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -757,7 +758,9 @@ cmdCheck(Args& args)
     check::sortDiagnostics(outcome.report.diags);
     const check::CheckReport& report = outcome.report;
 
-    // --timing: per-checker wall times plus the target-set solver
+    // --timing: per-checker wall and work times (work sums the busy
+    // time of every thread a group's sweep used, so work_over_wall is
+    // the group's achieved parallelism) plus the target-set solver
     // counters, as one JSON object (merged into BENCH_scale.json by
     // tools/run_all_tables.sh when requested).
     std::string timing_json;
@@ -767,9 +770,11 @@ cmdCheck(Args& args)
         for (size_t i = 0; i < report.group_ms.size(); ++i) {
             if (i)
                 t << ",";
-            t << "{\"name\":\"" << report.group_ms[i].first
-              << "\",\"ms\":" << std::fixed << std::setprecision(2)
-              << report.group_ms[i].second << "}";
+            const check::GroupTime& g = report.group_ms[i];
+            t << "{\"name\":\"" << g.name << "\",\"ms\":" << std::fixed
+              << std::setprecision(2) << g.ms << ",\"work_ms\":" << g.work_ms
+              << ",\"work_over_wall\":" << g.work_ms / std::max(g.ms, 1e-3)
+              << "}";
         }
         t << "]";
         if (opts.targets) {
@@ -1004,7 +1009,7 @@ runScalebenchChild(uint64_t insts, uint64_t seed, int fd)
         "\"icall_sites\":%llu,"
         "\"gen_ms\":%.1f,\"profile_ms\":%.1f,\"print_ms\":%.1f,"
         "\"parse_ms\":%.1f,\"parse_mb_s\":%.1f,\"build_ms\":%.1f,"
-        "\"audit_ms\":%.1f,"
+        "\"audit_ms\":%.1f,\"audit_work_ms\":%.1f,"
         "\"promoted_targets\":%u,\"inlined_sites\":%u,"
         "\"analyses_computed\":%llu,\"analyses_reused\":%llu,"
         "\"sandwich_errors\":%llu,"
@@ -1016,7 +1021,7 @@ runScalebenchChild(uint64_t insts, uint64_t seed, int fd)
         static_cast<unsigned long long>(stats.icall_sites),
         ms(t0, t1), ms(t1, t2), print_ms, parse_ms,
         static_cast<double>(text_bytes) / 1e3 / std::max(parse_ms, 1e-3),
-        ms(t3, t4), rep.audit_ms,
+        ms(t3, t4), rep.audit_ms, rep.audit_work_ms,
         rep.icp.promoted_targets, rep.inlining.inlined_sites,
         static_cast<unsigned long long>(rep.analyses_computed),
         static_cast<unsigned long long>(rep.analyses_reused),
@@ -1025,6 +1030,32 @@ runScalebenchChild(uint64_t insts, uint64_t seed, int fd)
         static_cast<unsigned long long>(rep.baseline_image_size),
         static_cast<unsigned long long>(rep.image_size),
         digest.c_str());
+}
+
+/**
+ * The speed-up a CPU-bound runtime::parallelFor sweep gets on this
+ * box with every helper the affinity mask allows: the wall time of a
+ * fixed burn on the caller alone over its wall time with helpers.
+ */
+double
+measureEffectiveParallelism()
+{
+    using Clock = std::chrono::steady_clock;
+    std::atomic<uint64_t> sink{0};
+    const auto burn = [&](size_t begin, size_t end) {
+        uint64_t x = begin + 1;
+        for (size_t i = begin; i < end; ++i)
+            for (int k = 0; k < 2000000; ++k)
+                x = x * 6364136223846793005ull + 1442695040888963407ull;
+        sink.fetch_add(x, std::memory_order_relaxed);
+    };
+    auto wall = [&](size_t helpers) {
+        const Clock::time_point t0 = Clock::now();
+        runtime::parallelFor(64, 1, helpers, burn);
+        return std::chrono::duration<double>(Clock::now() - t0).count();
+    };
+    const double serial = wall(0);
+    return serial / wall(runtime::parallelHelpers());
 }
 
 int
@@ -1082,14 +1113,16 @@ cmdScalebench(Args& args)
         const int64_t errors = row.json["sandwich_errors"].asInt();
         clean = clean && errors == 0;
         std::printf("  %8llu insts: gen %6.0f ms, print %5.0f ms, "
-                    "parse %5.0f ms, build %7.0f ms (audit %6.0f ms), "
-                    "rss %ld MiB, errors %lld, digest %s\n",
+                    "parse %5.0f ms, build %7.0f ms (audit %6.0f ms, "
+                    "work %6.0f ms), rss %ld MiB, errors %lld, "
+                    "digest %s\n",
                     static_cast<unsigned long long>(n),
                     row.json["gen_ms"].asDouble(),
                     row.json["print_ms"].asDouble(),
                     row.json["parse_ms"].asDouble(),
                     row.json["build_ms"].asDouble(),
                     row.json["audit_ms"].asDouble(),
+                    row.json["audit_work_ms"].asDouble(),
                     row.maxrss_kb / 1024,
                     static_cast<long long>(errors),
                     row.json["digest"].asString().c_str());
@@ -1122,18 +1155,25 @@ cmdScalebench(Args& args)
         max_rss_exp = std::max(max_rss_exp, rss_exps[i]);
     }
 
+    // Measured after the children: a pool created here is not
+    // inherited by them.
+    const double parallelism = measureEffectiveParallelism();
+    std::printf("  effective parallelism %.2f (%zu helpers)\n",
+                parallelism, runtime::parallelHelpers());
+
     std::FILE* f = std::fopen(out.c_str(), "w");
     if (!f)
         PIBE_FATAL("cannot write ", out);
     std::fprintf(f,
                  "{\n  \"bench\": \"scale\",\n  \"seed\": %llu,\n"
                  "  \"nproc\": %u,\n"
+                 "  \"effective_parallelism\": %.2f,\n"
                  "  \"max_time_scaling_exponent\": %.2f,\n"
                  "  \"max_rss_scaling_exponent\": %.2f,\n"
                  "  \"sizes\": [\n",
                  static_cast<unsigned long long>(seed),
-                 std::thread::hardware_concurrency(), max_time_exp,
-                 max_rss_exp);
+                 std::thread::hardware_concurrency(), parallelism,
+                 max_time_exp, max_rss_exp);
     for (size_t i = 0; i < rows.size(); ++i) {
         serve::Json j = rows[i].json;
         std::string dumped = j.dump();
