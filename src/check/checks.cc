@@ -21,17 +21,6 @@ using Clock = std::chrono::steady_clock;
 /** Functions per parallelFor chunk of the verify and lint sweeps. */
 constexpr size_t kFuncsPerChunk = 16;
 
-/**
- * Instructions of cache-missed functions per helper thread a verify or
- * lint sweep recruits: a sweep over fewer runs on the caller alone.
- * Each helper thread that allocates gets its own glibc malloc arena,
- * which stays resident, so small modules (the 64-driver kernel and
- * its 61k-instruction image) and sandwich stages that touched a few
- * functions stay serial; the 448-driver kernel gets two helpers and a
- * 10^6-instruction module every one.
- */
-constexpr uint64_t kInstsPerHelper = 65536;
-
 double
 msSince(Clock::time_point start)
 {
@@ -349,7 +338,8 @@ class Runner
         }
         const auto t0 = Clock::now();
         const double work = runtime::parallelFor(
-            todo.size(), kFuncsPerChunk, insts / kInstsPerHelper,
+            todo.size(), kFuncsPerChunk,
+            insts / runtime::kInstsPerHelper,
             [&](size_t begin, size_t end) {
                 fill(std::span(todo).subspan(begin, end - begin));
             });

@@ -1,11 +1,14 @@
 #include "ir/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <chrono>
 #include <unordered_map>
 #include <vector>
 
 #include "ir/printer.h"
+#include "runtime/thread_pool.h"
 
 namespace pibe::ir {
 
@@ -165,13 +168,14 @@ class LineCursor
 };
 
 /** Call fn(line, line_no) for every '\n'-terminated line of `text`,
- *  the same split std::getline makes: the final line needs no '\n',
- *  and a trailing '\n' does not start an empty line. */
+ *  numbering from `first_line`, the same split std::getline makes:
+ *  the final line needs no '\n', and a trailing '\n' does not start
+ *  an empty line. */
 template <typename Fn>
 void
-forEachLine(std::string_view text, Fn&& fn)
+forEachLine(std::string_view text, size_t first_line, Fn&& fn)
 {
-    size_t line_no = 0;
+    size_t line_no = first_line - 1;
     size_t pos = 0;
     while (pos < text.size()) {
         size_t nl = text.find('\n', pos);
@@ -198,12 +202,75 @@ enumFromName(std::string_view word, Enum first, Enum last,
     return false;
 }
 
+double
+msSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+/** Least bytes per chunk of the classification pass; a chunk ends
+ *  where a `func` line begins. */
+constexpr size_t kChunkBytes = size_t{256} << 10;
+
 /**
- * Two passes over the caller's buffer. The declaration pass creates
- * every global and function shell (so bodies may reference names
- * declared later) and counts blocks per function and instructions per
- * block; the body pass then parses each instruction in place into a
- * vector already sized for it.
+ * Text bytes per helper of the classification pass, which runs before
+ * the instructions are counted: 32 bytes for each of kInstsPerHelper
+ * instruction lines (printed ones average about 22), so a module below
+ * the body pass's grain classifies on the caller too.
+ */
+constexpr size_t kBytesPerHelper = runtime::kInstsPerHelper * 32;
+
+/**
+ * What the classification pass learns from one chunk: whole segments
+ * (below), so no function or block spans two chunks.
+ */
+struct Chunk
+{
+    /** A `global` or `func` line, numbered within the chunk. */
+    struct Header
+    {
+        std::string_view line;
+        size_t line_no;
+        bool is_func;
+    };
+    std::string_view text;
+    size_t lines = 0;
+    std::vector<Header> headers;
+    /** Block labels after each of the chunk's `func` lines. */
+    std::vector<uint32_t> func_blocks;
+    /** Instruction lines after each of the chunk's block labels. */
+    std::vector<uint32_t> block_insts;
+    /** Labels before the text's first `func` line (each an error). */
+    uint32_t orphan_blocks = 0;
+};
+
+/**
+ * The lines from one `func` line up to the next (segment k + 1 is
+ * function k's), or those before the first (segment 0). The body pass
+ * parses each on its own.
+ */
+struct Segment
+{
+    std::string_view text;
+    size_t first_line = 1;
+    /** The function its `func` line declares; none for segment 0. */
+    FuncId func = kInvalidFunc;
+    SiteId max_site = 0;
+    /** Its first parse error, if any. */
+    std::string error;
+};
+
+/**
+ * Two passes over the caller's buffer, each on runtime::parallelFor.
+ * The classification pass sorts lines into headers, labels and
+ * instructions chunk by chunk, counting blocks per function and
+ * instructions per block. The caller then applies the `global` and
+ * `func` headers in line order, so bodies may reference names declared
+ * later, and sizes every function body. The body pass parses each
+ * segment's instructions in place into those vectors; the first error
+ * in line order is the one reported.
  */
 class ModuleParser
 {
@@ -213,41 +280,148 @@ class ModuleParser
     Module
     run()
     {
-        forEachLine(text_, [this](std::string_view line, size_t no) {
-            declareLine(line, no);
-        });
-        forEachLine(text_, [this](std::string_view line, size_t no) {
-            bodyLine(line, no);
-        });
-        module_.reserveSiteIds(max_site_ + 1);
+        declare(classify());
+        sizeBodies();
+        sweep(segments_.size(), 1, insts_ / runtime::kInstsPerHelper,
+              [this](size_t s) { parseSegment(segments_[s]); });
+        SiteId max_site = 0;
+        for (const Segment& seg : segments_) {
+            if (!seg.error.empty())
+                throw ParseError{seg.error};
+            max_site = std::max(max_site, seg.max_site);
+        }
+        module_.reserveSiteIds(max_site + 1);
         return std::move(module_);
     }
 
+    /** What the parallelFor sweeps so far added to the work beyond
+     *  their wall time. */
+    double sweepExtraMs() const { return sweep_extra_ms_; }
+
   private:
-    /** Declaration pass: globals, function shells, and size hints. A
-     *  line counts as a label or an instruction exactly when the body
-     *  pass will treat it as one. */
+    /** parallelFor over [0, n), one `fn(i)` per index. */
+    template <typename Fn>
     void
-    declareLine(std::string_view line, size_t line_no)
+    sweep(size_t n, size_t grain, size_t helpers, Fn fn)
     {
-        LineCursor cur(line, line_no);
-        if (cur.tryLiteral("global ")) {
-            declareGlobal(cur);
-        } else if (cur.tryLiteral("func ")) {
-            declareFunction(cur);
-            blocks_per_func_.push_back(0);
-            in_block_ = false;
-        } else if (line.empty()) {
-            // Skipped by the body pass, like any global line.
-        } else if (cur.tryLiteral("}")) {
-            in_block_ = false;
-        } else if (cur.tryLiteral("bb")) {
-            if (!blocks_per_func_.empty())
-                ++blocks_per_func_.back();
-            insts_per_block_.push_back(0);
-            in_block_ = true;
-        } else if (in_block_) {
-            ++insts_per_block_.back();
+        const auto t0 = std::chrono::steady_clock::now();
+        const double work = runtime::parallelFor(
+            n, grain, helpers, [&fn](size_t begin, size_t end) {
+                for (size_t i = begin; i < end; ++i)
+                    fn(i);
+            });
+        sweep_extra_ms_ += work - msSince(t0);
+    }
+
+    /** Classification pass: split the text into chunks of whole
+     *  segments and classify them in parallel. */
+    std::vector<Chunk>
+    classify()
+    {
+        // The start of the line after the one holding `pos`.
+        auto nextLine = [this](size_t pos) {
+            return std::min(text_.find('\n', pos), text_.size() - 1) + 1;
+        };
+        std::vector<Chunk> chunks;
+        for (size_t begin = 0; begin < text_.size();) {
+            size_t end = std::min(begin + kChunkBytes, text_.size());
+            if (text_[end - 1] != '\n')
+                end = nextLine(end);
+            // `tryLiteral` stops at the line's end: "func " has no '\n'.
+            while (end < text_.size() &&
+                   !LineCursor(text_.substr(end), 0).tryLiteral("func "))
+                end = nextLine(end);
+            chunks.emplace_back().text = text_.substr(begin, end - begin);
+            begin = end;
+        }
+        sweep(chunks.size(), 1, text_.size() / kBytesPerHelper,
+              [&chunks](size_t c) { classifyChunk(chunks[c]); });
+        return chunks;
+    }
+
+    /** A line counts as a header, label or instruction exactly when
+     *  the body pass will treat it as one. */
+    static void
+    classifyChunk(Chunk& c)
+    {
+        bool in_block = false;
+        forEachLine(c.text, 1, [&](std::string_view line, size_t no) {
+            c.lines = no;
+            LineCursor cur(line, no);
+            if (cur.tryLiteral("global ")) {
+                c.headers.push_back({line, no, false});
+            } else if (cur.tryLiteral("func ")) {
+                c.headers.push_back({line, no, true});
+                c.func_blocks.push_back(0);
+                in_block = false;
+            } else if (line.empty()) {
+                // Skipped by the body pass, like any global line.
+            } else if (cur.tryLiteral("}")) {
+                in_block = false;
+            } else if (cur.tryLiteral("bb")) {
+                ++(c.func_blocks.empty() ? c.orphan_blocks
+                                         : c.func_blocks.back());
+                c.block_insts.push_back(0);
+                in_block = true;
+            } else if (in_block) {
+                ++c.block_insts.back();
+            }
+        });
+    }
+
+    /** Apply the headers in line order, open a segment at each `func`
+     *  line, and join the chunks' counts. */
+    void
+    declare(const std::vector<Chunk>& chunks)
+    {
+        segments_.emplace_back();
+        size_t line_base = 0;
+        for (const Chunk& c : chunks) {
+            for (const Chunk::Header& h : c.headers) {
+                LineCursor cur(h.line, line_base + h.line_no);
+                if (!h.is_func) {
+                    cur.expect("global ");
+                    declareGlobal(cur);
+                    continue;
+                }
+                cur.expect("func ");
+                Segment& seg = segments_.emplace_back();
+                seg.first_line = line_base + h.line_no;
+                seg.func = declareFunction(cur);
+                seg.text = text_.substr(
+                    static_cast<size_t>(h.line.data() - text_.data()));
+            }
+            line_base += c.lines;
+            orphan_blocks_ += c.orphan_blocks;
+            blocks_per_func_.insert(blocks_per_func_.end(),
+                                    c.func_blocks.begin(),
+                                    c.func_blocks.end());
+            insts_per_block_.insert(insts_per_block_.end(),
+                                    c.block_insts.begin(),
+                                    c.block_insts.end());
+        }
+        // Each segment ends where the next begins.
+        segments_[0].text = text_;
+        for (size_t s = 0; s + 1 < segments_.size(); ++s)
+            segments_[s].text.remove_suffix(segments_[s + 1].text.size());
+    }
+
+    /**
+     * Size every function body on the calling thread, so the block and
+     * instruction arrays come from its malloc arena whichever thread
+     * fills them (see runtime::kInstsPerHelper).
+     */
+    void
+    sizeBodies()
+    {
+        size_t block = orphan_blocks_;
+        for (size_t k = 0; k < blocks_per_func_.size(); ++k) {
+            Function& f = module_.func(static_cast<FuncId>(k));
+            f.blocks.resize(blocks_per_func_[k]);
+            for (BasicBlock& bb : f.blocks) {
+                bb.insts.reserve(insts_per_block_[block]);
+                insts_ += insts_per_block_[block++];
+            }
         }
     }
 
@@ -285,7 +459,7 @@ class ModuleParser
         module_.addGlobal(std::string(name), std::move(init));
     }
 
-    void
+    FuncId
     declareFunction(LineCursor& cur)
     {
         const std::string_view name = cur.parseName();
@@ -318,52 +492,63 @@ class ModuleParser
         Function& f = module_.func(id);
         f.num_regs = static_cast<uint32_t>(regs);
         f.frame_size = static_cast<uint32_t>(frame);
+        return id;
     }
 
-    /** Body pass: parse function bodies now that every name resolves. */
+    /** Body pass over one segment. Its first error ends it and is
+     *  kept, not thrown, so each segment reports its own. */
     void
-    bodyLine(std::string_view line, size_t line_no)
+    parseSegment(Segment& seg)
     {
-        if (line.empty())
-            return;
-        LineCursor cur(line, line_no);
-        if (cur.tryLiteral("global "))
-            return;
-        if (cur.tryLiteral("func ")) {
-            current_ = &module_.func(funcs_.at(cur.parseName()));
-            current_->blocks.reserve(blocks_per_func_[next_func_++]);
-            return;
+        Function* current = nullptr;
+        size_t blocks = 0; // labels parsed in `current`
+        try {
+            forEachLine(seg.text, seg.first_line,
+                        [&](std::string_view line, size_t line_no) {
+                if (line.empty())
+                    return;
+                LineCursor cur(line, line_no);
+                if (cur.tryLiteral("global "))
+                    return;
+                if (cur.tryLiteral("func ")) {
+                    current = &module_.func(seg.func);
+                    return;
+                }
+                if (cur.tryLiteral("}")) {
+                    current = nullptr;
+                    return;
+                }
+                if (!current)
+                    cur.fail("instruction outside function");
+                if (cur.tryLiteral("bb")) {
+                    const int64_t id = cur.parseInt();
+                    cur.expect(":");
+                    if (id != static_cast<int64_t>(blocks))
+                        cur.fail("non-sequential block id");
+                    ++blocks;
+                    return;
+                }
+                if (blocks == 0)
+                    cur.fail("instruction before first block label");
+                parseInstruction(
+                    cur, current->blocks[blocks - 1].insts.emplace_back(),
+                    seg.max_site);
+            });
+        } catch (ParseError& e) {
+            seg.error = std::move(e.message);
         }
-        if (cur.tryLiteral("}")) {
-            current_ = nullptr;
-            return;
-        }
-        if (!current_)
-            cur.fail("instruction outside function");
-        if (cur.tryLiteral("bb")) {
-            const int64_t id = cur.parseInt();
-            cur.expect(":");
-            if (id != static_cast<int64_t>(current_->blocks.size()))
-                cur.fail("non-sequential block id");
-            current_->blocks.emplace_back().insts.reserve(
-                insts_per_block_[next_block_++]);
-            return;
-        }
-        if (current_->blocks.empty())
-            cur.fail("instruction before first block label");
-        parseInstruction(cur,
-                         current_->blocks.back().insts.emplace_back());
     }
 
     /** Trailing annotations: !asm, !<scheme>, !site N. */
     void
-    parseAnnotations(LineCursor& cur, Instruction& inst)
+    parseAnnotations(LineCursor& cur, Instruction& inst,
+                     SiteId& max_site) const
     {
         while (cur.tryLiteral("!")) {
             if (cur.tryLiteral("site")) {
                 inst.site_id = static_cast<SiteId>(cur.parseInt());
-                if (inst.site_id != kNoSite && inst.site_id > max_site_)
-                    max_site_ = inst.site_id;
+                if (inst.site_id != kNoSite && inst.site_id > max_site)
+                    max_site = inst.site_id;
                 continue;
             }
             const std::string_view word = cur.parseWord();
@@ -388,7 +573,7 @@ class ModuleParser
             cur.fail("trailing tokens");
     }
 
-    void
+    static void
     parseArgList(LineCursor& cur, std::vector<Reg>& args)
     {
         cur.expect("(");
@@ -404,7 +589,7 @@ class ModuleParser
     }
 
     FuncId
-    resolveFunc(LineCursor& cur)
+    resolveFunc(LineCursor& cur) const
     {
         const std::string_view name = cur.parseName();
         auto it = funcs_.find(name);
@@ -414,7 +599,7 @@ class ModuleParser
     }
 
     GlobalId
-    resolveGlobal(LineCursor& cur)
+    resolveGlobal(LineCursor& cur) const
     {
         const std::string_view name = cur.parseName();
         auto it = globals_.find(name);
@@ -424,7 +609,8 @@ class ModuleParser
     }
 
     void
-    parseInstruction(LineCursor& cur, Instruction& inst)
+    parseInstruction(LineCursor& cur, Instruction& inst,
+                     SiteId& max_site) const
     {
         // Destination-less forms first.
         if (cur.tryLiteral("store ")) {
@@ -437,7 +623,7 @@ class ModuleParser
             cur.expect("]");
             cur.expect("=");
             inst.b = cur.parseReg();
-            parseAnnotations(cur, inst);
+            parseAnnotations(cur, inst, max_site);
             return;
         }
         if (cur.tryLiteral("frame[")) {
@@ -446,13 +632,13 @@ class ModuleParser
             cur.expect("]");
             cur.expect("=");
             inst.a = cur.parseReg();
-            parseAnnotations(cur, inst);
+            parseAnnotations(cur, inst, max_site);
             return;
         }
         if (cur.tryLiteral("sink ")) {
             inst.op = Opcode::kSink;
             inst.a = cur.parseReg();
-            parseAnnotations(cur, inst);
+            parseAnnotations(cur, inst, max_site);
             return;
         }
         if (cur.tryLiteral("ret")) {
@@ -461,13 +647,13 @@ class ModuleParser
             LineCursor probe = cur; // value is optional
             if (!probe.atEnd() && !probe.tryLiteral("!"))
                 inst.a = cur.parseReg();
-            parseAnnotations(cur, inst);
+            parseAnnotations(cur, inst, max_site);
             return;
         }
         if (cur.tryLiteral("br ")) {
             inst.op = Opcode::kBr;
             inst.t0 = cur.parseBlock();
-            parseAnnotations(cur, inst);
+            parseAnnotations(cur, inst, max_site);
             return;
         }
         if (cur.tryLiteral("condbr ")) {
@@ -477,7 +663,7 @@ class ModuleParser
             inst.t0 = cur.parseBlock();
             cur.expect(",");
             inst.t1 = cur.parseBlock();
-            parseAnnotations(cur, inst);
+            parseAnnotations(cur, inst, max_site);
             return;
         }
         if (cur.tryLiteral("switch ")) {
@@ -490,7 +676,7 @@ class ModuleParser
                 cur.expect("->");
                 inst.case_targets.push_back(cur.parseBlock());
             }
-            parseAnnotations(cur, inst);
+            parseAnnotations(cur, inst, max_site);
             return;
         }
 
@@ -538,22 +724,23 @@ class ModuleParser
             cur.expect(",");
             inst.b = cur.parseReg();
         }
-        parseAnnotations(cur, inst);
+        parseAnnotations(cur, inst, max_site);
     }
 
     std::string_view text_;
     Module module_;
-    SiteId max_site_ = 0;
-    /** Name → id, keyed into the input buffer. */
+    /** Name -> id, keyed into the input buffer; read-only once the
+     *  headers are applied. */
     std::unordered_map<std::string_view, FuncId> funcs_;
     std::unordered_map<std::string_view, GlobalId> globals_;
-    /** Size hints from the declaration pass, consumed in order. */
+    std::vector<Segment> segments_;
+    /** Size hints from the classification pass, in line order. */
     std::vector<uint32_t> blocks_per_func_;
     std::vector<uint32_t> insts_per_block_;
-    bool in_block_ = false;
-    size_t next_func_ = 0;
-    size_t next_block_ = 0;
-    Function* current_ = nullptr;
+    /** Labels before the first function (each one an error). */
+    uint32_t orphan_blocks_ = 0;
+    uint64_t insts_ = 0;
+    double sweep_extra_ms_ = 0;
 };
 
 } // namespace
@@ -561,11 +748,16 @@ class ModuleParser
 ParseResult
 tryParseModule(std::string_view text)
 {
+    const auto t0 = std::chrono::steady_clock::now();
+    ModuleParser parser(text);
+    ParseResult result;
     try {
-        return {ModuleParser(text).run(), {}};
+        result.module = parser.run();
     } catch (ParseError& e) {
-        return {std::nullopt, std::move(e.message)};
+        result.error = std::move(e.message);
     }
+    result.work_ms = msSince(t0) + parser.sweepExtraMs();
+    return result;
 }
 
 Module

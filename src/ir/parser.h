@@ -32,12 +32,20 @@ struct ParseResult
     std::optional<Module> module; ///< Engaged iff the text parsed.
     /** Otherwise "PIR parse error at line N: <what> near '<text>'". */
     std::string error;
+    /** The parse's work: its parallel sweeps' busy time, summed over
+     *  every thread, plus its serial steps. Its span is the wall time
+     *  of the call. */
+    double work_ms = 0;
 };
 
 /**
  * Parse the textual module format produced by printModule(), reading
  * `text` in place. Malformed input is returned as an error value,
- * never a crash or an exit, so long-running processes can answer it.
+ * never a crash or an exit, so long-running processes can answer it;
+ * with several errors it is the first in line order among the `global`
+ * and `func` header lines if any fails, else the first in the bodies.
+ * Large texts are parsed on runtime::parallelFor; the result does not
+ * depend on how many threads took part.
  */
 ParseResult tryParseModule(std::string_view text);
 

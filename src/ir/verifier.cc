@@ -1,5 +1,6 @@
 #include "ir/verifier.h"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
@@ -203,18 +204,32 @@ std::vector<std::string>
 verifyModuleSiteIds(const Module& module)
 {
     std::vector<std::string> problems;
-    std::unordered_set<SiteId> seen_sites;
+    const SiteId bound = module.siteIdBound();
+    // One bit per id below the bound, unless a hostile text claims a
+    // bound far beyond the module's size; a set takes the other ids.
+    size_t insts = 0;
+    for (const Function& f : module.functions())
+        insts += f.instructionCount();
+    std::vector<bool> seen(std::min<size_t>(bound, 4 * insts + 4096));
+    std::unordered_set<SiteId> seen_sparse;
     for (const Function& f : module.functions()) {
         for (const auto& bb : f.blocks) {
             for (const auto& inst : bb.insts) {
                 if (inst.site_id == kNoSite)
                     continue;
-                if (inst.site_id >= module.siteIdBound()) {
+                if (inst.site_id >= bound) {
                     problems.push_back(f.name + ": site id " +
                                        std::to_string(inst.site_id) +
                                        " beyond module bound");
                 }
-                if (!seen_sites.insert(inst.site_id).second) {
+                bool duplicate;
+                if (inst.site_id < seen.size()) {
+                    duplicate = seen[inst.site_id];
+                    seen[inst.site_id] = true;
+                } else {
+                    duplicate = !seen_sparse.insert(inst.site_id).second;
+                }
+                if (duplicate) {
                     problems.push_back(f.name + ": duplicate site id " +
                                        std::to_string(inst.site_id));
                 }

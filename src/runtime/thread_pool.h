@@ -14,8 +14,9 @@
  * soon as the in-flight tasks finish. The destructor drains.
  *
  * parallelFor() is the data-parallel loop of the audit's per-function
- * sweeps: the caller works through the chunks itself, and helpers from
- * one process-wide pool join in when they get scheduled.
+ * sweeps and the PIR parser: the caller works through the chunks
+ * itself, and helpers from one process-wide pool join in when they get
+ * scheduled.
  */
 #ifndef PIBE_RUNTIME_THREAD_POOL_H_
 #define PIBE_RUNTIME_THREAD_POOL_H_
@@ -106,6 +107,18 @@ class ThreadPool
     uint64_t tasks_cancelled_ = 0;
     bool shutting_down_ = false;
 };
+
+/**
+ * Instructions per helper thread a per-function parallelFor() sweep
+ * recruits (the audit's verify and lint sweeps, the parser's body
+ * pass): a sweep over fewer runs on the caller alone. Each helper
+ * thread that allocates gets its own glibc malloc arena, which stays
+ * resident, so small modules (the 64-driver kernel and its
+ * 61k-instruction image) and sandwich stages that touched a few
+ * functions stay serial; the 448-driver kernel gets two helpers and a
+ * 10^6-instruction module every one.
+ */
+inline constexpr uint64_t kInstsPerHelper = 65536;
 
 /**
  * Helpers parallelFor() may recruit: the CPUs in this process's

@@ -759,6 +759,42 @@ TEST(Verifier, DuplicateSiteIdAcrossFunctions)
     EXPECT_NE(problems[0].find("duplicate site id"), std::string::npos);
 }
 
+// Ids below the bound are tracked in a bit vector and ids beyond it in
+// a set; both report duplicates, in instruction order. A bound far
+// beyond the module's size allocates no bit per id up to it.
+TEST(Verifier, SiteIdsBelowAndBeyondTheBound)
+{
+    ir::Module m = callerModule();
+    std::vector<ir::Instruction*> sites;
+    for (auto& inst : m.func(1).blocks[0].insts)
+        if (inst.site_id != ir::kNoSite)
+            sites.push_back(&inst);
+    ASSERT_EQ(sites.size(), 4u);
+    const ir::SiteId beyond = m.siteIdBound() + 2;
+    sites[0]->site_id = m.func(0).blocks[0].insts.back().site_id;
+    sites[1]->site_id = beyond;
+    sites[2]->site_id = beyond;
+    const std::string b = std::to_string(beyond);
+    const std::string dup =
+        std::to_string(m.func(0).blocks[0].insts.back().site_id);
+    EXPECT_EQ(ir::verifyModuleSiteIds(m),
+              (std::vector<std::string>{
+                  "main: duplicate site id " + dup,
+                  "main: site id " + b + " beyond module bound",
+                  "main: site id " + b + " beyond module bound",
+                  "main: duplicate site id " + b,
+              }));
+
+    m.reserveSiteIds(0xfffffff0u);
+    sites[1]->site_id = 0xf0000000u;
+    sites[2]->site_id = 0xf0000000u;
+    EXPECT_EQ(ir::verifyModuleSiteIds(m),
+              (std::vector<std::string>{
+                  "main: duplicate site id " + dup,
+                  "main: duplicate site id 4026531840",
+              }));
+}
+
 TEST(Verifier, DuplicateSwitchCaseValue)
 {
     ir::Module m;

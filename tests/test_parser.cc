@@ -12,11 +12,16 @@
 #include <fstream>
 #include <sstream>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "ir/builder.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "kernel/kernel.h"
+#include "runtime/thread_pool.h"
 #include "scale/parallel_pipeline.h"
+#include "scale/scale_builder.h"
 #include "support/rng.h"
 #include "tests/test_util.h"
 
@@ -289,6 +294,205 @@ TEST(Parser, ErrorsAreValues)
                   .error,
               "PIR parse error at line 3: duplicate function '@f' near "
               "''");
+}
+
+// A header line may be indented: the parser skips leading spaces before
+// every keyword.
+TEST(Parser, IndentedHeadersAreHeaders)
+{
+    const Module m = ir::parseModule("  global @g[1]\n"
+                                     "    func @f(params=0, regs=0, "
+                                     "frame=0) {\n"
+                                     "  bb0:\n"
+                                     "    ret\n"
+                                     "  }\n");
+    EXPECT_EQ(ir::printModule(m), "global @g[1]\n"
+                                  "func @f(params=0, regs=0, frame=0) {\n"
+                                  "bb0:\n"
+                                  "    ret\n"
+                                  "}\n");
+}
+
+// ---------------------------------------------------------------------
+// Texts large enough that the parser's sweeps recruit helper threads.
+
+/** A generated module above the body pass's two-helper grain. */
+const std::string&
+threadedText()
+{
+    static const std::string text = [] {
+        scale::ScaleConfig cfg;
+        cfg.target_insts = 140000;
+        cfg.seed = 7;
+        const Module m = scale::buildScaleModule(cfg);
+        size_t insts = 0;
+        for (const ir::Function& f : m.functions())
+            insts += f.instructionCount();
+        EXPECT_GE(insts, 2 * runtime::kInstsPerHelper);
+        return ir::printModule(m);
+    }();
+    return text;
+}
+
+/** The error, or the printed module and its site-id bound. */
+std::string
+parseOutcome(const std::string& text)
+{
+    const ir::ParseResult r = ir::tryParseModule(text);
+    if (!r.module)
+        return r.error;
+    return ir::printModule(*r.module) + "bound " +
+           std::to_string(r.module->siteIdBound());
+}
+
+/** One or two of: bit flip (half the time the low bit of a digit, so
+ *  the text often still parses), erase, or insert "bb" or "}\n". */
+std::string
+threadedMutant(const std::string& base, Rng& rng)
+{
+    std::string text = base;
+    for (uint64_t k = 1 + rng.below(2); k > 0; --k) {
+        size_t at = rng.below(text.size());
+        switch (rng.below(5)) {
+          case 0:
+            text[at] = static_cast<char>(text[at] ^ (1u << rng.below(8)));
+            break;
+          case 1:
+            at = text.find_first_of("0123456789", at);
+            if (at != std::string::npos)
+                text[at] = static_cast<char>(text[at] ^ 1);
+            break;
+          case 2:
+            text.erase(at, 1 + rng.below(8));
+            break;
+          case 3:
+            text.insert(at, "bb");
+            break;
+          default:
+            text.insert(at, "}\n");
+            break;
+        }
+    }
+    return text;
+}
+
+// A fork()ed child has no helper pool, so it parses on the caller
+// alone; the parent's parses recruit helpers. Every mutant must have
+// the same outcome in both.
+TEST(Parser, ThreadedParseMatchesForkedSerialParse)
+{
+    const std::string& base = threadedText();
+    // Parsed once here first, so the helper pool exists and belongs
+    // to this process, not to the child.
+    ASSERT_TRUE(ir::tryParseModule(base).module);
+    constexpr int kMutants = 300;
+    int fds[2];
+    ASSERT_EQ(pipe(fds), 0);
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        close(fds[0]);
+        Rng rng(7);
+        for (int i = 0; i < kMutants; ++i) {
+            const std::string out =
+                parseOutcome(threadedMutant(base, rng));
+            const uint64_t size = out.size();
+            if (write(fds[1], &size, sizeof size) != sizeof size ||
+                write(fds[1], out.data(), out.size()) !=
+                    static_cast<ssize_t>(out.size()))
+                _exit(1);
+        }
+        _exit(0);
+    }
+    close(fds[1]);
+    auto readFully = [&](void* dst, size_t n) {
+        for (char* p = static_cast<char*>(dst); n > 0;) {
+            const ssize_t got = read(fds[0], p, n);
+            if (got <= 0)
+                return false;
+            p += got;
+            n -= static_cast<size_t>(got);
+        }
+        return true;
+    };
+    Rng rng(7);
+    int failed = 0;
+    int i = 0;
+    for (; i < kMutants; ++i) {
+        const std::string threaded =
+            parseOutcome(threadedMutant(base, rng));
+        uint64_t size = 0;
+        std::string serial;
+        if (!readFully(&size, sizeof size))
+            break;
+        serial.resize(size);
+        if (!readFully(serial.data(), size))
+            break;
+        if (threaded != serial) {
+            ADD_FAILURE() << "mutant " << i << ": threaded '"
+                          << threaded.substr(0, 200) << "', serial '"
+                          << serial.substr(0, 200) << "'";
+            break;
+        }
+        failed += threaded.rfind("PIR parse error", 0) == 0;
+    }
+    close(fds[0]);
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    EXPECT_EQ(i, kMutants);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    // Both outcomes must be exercised.
+    EXPECT_GT(failed, kMutants / 10);
+    EXPECT_LT(failed, kMutants - kMutants / 10);
+}
+
+// Each function body is parsed on its own; with two defects the one on
+// the earlier line is reported, however the bodies were scheduled.
+TEST(Parser, FirstErrorInLineOrderWins)
+{
+    const std::string& base = threadedText();
+    const Module m = ir::parseModule(base);
+    const ir::Function* largest = &m.func(0);
+    for (const ir::Function& f : m.functions())
+        if (f.instructionCount() > largest->instructionCount())
+            largest = &f;
+    const ir::Function* small = nullptr;
+    for (size_t k = largest->id + 1; k < m.numFunctions(); ++k) {
+        const ir::Function& f = m.func(static_cast<ir::FuncId>(k));
+        if (!f.isDeclaration() &&
+            (!small || f.instructionCount() < small->instructionCount()))
+            small = &f;
+    }
+    ASSERT_NE(small, nullptr);
+    ASSERT_GT(largest->instructionCount(), 2 * small->instructionCount());
+
+    const std::string defect = "    r0 = quux r0, r0\n";
+    auto afterEntryLabel = [&](const std::string& text,
+                               const ir::Function& f) {
+        const size_t header = text.find("func @" + f.name + "(");
+        return text.find("\nbb0:\n", header) + 6;
+    };
+    std::string text = base;
+    text.insert(afterEntryLabel(text, *small), defect);
+    const size_t early = afterEntryLabel(text, *largest);
+    text.insert(early, defect);
+    const size_t line = 1 + static_cast<size_t>(std::count(
+                                text.begin(), text.begin() + early, '\n'));
+    for (int rep = 0; rep < 5; ++rep)
+        EXPECT_EQ(ir::tryParseModule(text).error,
+                  "PIR parse error at line " + std::to_string(line) +
+                      ": unknown opcode 'quux' near ' r0, r0'");
+}
+
+TEST(Parser, RoundTripsTwoHundredThousandInstructions)
+{
+    scale::ScaleConfig cfg;
+    cfg.target_insts = 200000;
+    const Module m = scale::buildScaleModule(cfg);
+    const std::string text = ir::printModule(m);
+    const Module parsed = ir::parseModule(text);
+    EXPECT_EQ(ir::printModule(parsed), text);
+    EXPECT_EQ(scale::moduleDigest(parsed), scale::moduleDigest(m));
 }
 
 // ---------------------------------------------------------------------

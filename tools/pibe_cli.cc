@@ -946,7 +946,8 @@ cmdGenkernel(Args& args)
  * `insts` instructions, synthesize its profile, time one print and one
  * parse of the module's PIR text, build the hardened image with
  * core::buildImage at `pibe optimize`'s defaults, and write one JSON
- * object with timings (build_ms and, within it, the sandwich stages'
+ * object with timings (parse_ms and its work over all threads,
+ * parse_work_ms; build_ms and, within it, the sandwich stages'
  * audit_ms), the image digest, and audit counters to `fd`.
  * Runs in the child so the parent can read peak RSS from wait4().
  * Exits 1 if the re-parsed module's digest differs from the original.
@@ -976,16 +977,19 @@ runScalebenchChild(uint64_t insts, uint64_t seed, int fd)
     // The text layer every pibe command goes through.
     double print_ms = 0;
     double parse_ms = 0;
+    double parse_work_ms = 0;
     size_t text_bytes = 0;
     {
         const std::string text = ir::printModule(m);
         const Clock::time_point p0 = Clock::now();
-        const ir::Module back = ir::parseModule(text);
+        const ir::ParseResult back = ir::tryParseModule(text);
         const Clock::time_point p1 = Clock::now();
         print_ms = ms(t2, p0);
         parse_ms = ms(p0, p1);
+        parse_work_ms = back.work_ms;
         text_bytes = text.size();
-        if (scale::moduleDigest(back) != scale::moduleDigest(m)) {
+        if (!back.module ||
+            scale::moduleDigest(*back.module) != scale::moduleDigest(m)) {
             std::fprintf(stderr, "scalebench: %llu-inst module does not "
                          "survive print -> parse\n",
                          static_cast<unsigned long long>(insts));
@@ -1008,7 +1012,8 @@ runScalebenchChild(uint64_t insts, uint64_t seed, int fd)
         "{\"target_insts\":%llu,\"insts\":%llu,\"functions\":%llu,"
         "\"icall_sites\":%llu,"
         "\"gen_ms\":%.1f,\"profile_ms\":%.1f,\"print_ms\":%.1f,"
-        "\"parse_ms\":%.1f,\"parse_mb_s\":%.1f,\"build_ms\":%.1f,"
+        "\"parse_ms\":%.1f,\"parse_work_ms\":%.1f,\"parse_mb_s\":%.1f,"
+        "\"build_ms\":%.1f,"
         "\"audit_ms\":%.1f,\"audit_work_ms\":%.1f,"
         "\"promoted_targets\":%u,\"inlined_sites\":%u,"
         "\"analyses_computed\":%llu,\"analyses_reused\":%llu,"
@@ -1019,7 +1024,7 @@ runScalebenchChild(uint64_t insts, uint64_t seed, int fd)
         static_cast<unsigned long long>(stats.num_insts),
         static_cast<unsigned long long>(stats.num_functions),
         static_cast<unsigned long long>(stats.icall_sites),
-        ms(t0, t1), ms(t1, t2), print_ms, parse_ms,
+        ms(t0, t1), ms(t1, t2), print_ms, parse_ms, parse_work_ms,
         static_cast<double>(text_bytes) / 1e3 / std::max(parse_ms, 1e-3),
         ms(t3, t4), rep.audit_ms, rep.audit_work_ms,
         rep.icp.promoted_targets, rep.inlining.inlined_sites,
@@ -1113,13 +1118,14 @@ cmdScalebench(Args& args)
         const int64_t errors = row.json["sandwich_errors"].asInt();
         clean = clean && errors == 0;
         std::printf("  %8llu insts: gen %6.0f ms, print %5.0f ms, "
-                    "parse %5.0f ms, build %7.0f ms (audit %6.0f ms, "
-                    "work %6.0f ms), rss %ld MiB, errors %lld, "
-                    "digest %s\n",
+                    "parse %5.0f ms (work %5.0f ms), build %7.0f ms "
+                    "(audit %6.0f ms, work %6.0f ms), rss %ld MiB, "
+                    "errors %lld, digest %s\n",
                     static_cast<unsigned long long>(n),
                     row.json["gen_ms"].asDouble(),
                     row.json["print_ms"].asDouble(),
                     row.json["parse_ms"].asDouble(),
+                    row.json["parse_work_ms"].asDouble(),
                     row.json["build_ms"].asDouble(),
                     row.json["audit_ms"].asDouble(),
                     row.json["audit_work_ms"].asDouble(),
