@@ -30,6 +30,8 @@
 #define PIBE_KERNEL_KERNEL_H_
 
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "ir/module.h"
 
@@ -212,11 +214,26 @@ struct KernelImage
 /** Build the synthetic kernel. Deterministic in `config.seed`. */
 KernelImage buildKernel(const KernelConfig& config = {});
 
+/** The outcome of tryKernelInfoFromModule(): handles or why not. */
+struct KernelInfoResult
+{
+    std::optional<KernelInfo> info; ///< Engaged iff a synthetic kernel.
+    /** Otherwise "module is not a synthetic kernel (missing ...)". */
+    std::string error;
+};
+
 /**
  * Recover the KernelInfo handles from a kernel module by name — the
  * entry points and tables are stable symbols, so a module that went
- * through print/parse (or any transformation) stays drivable.
- * Fatal if `module` is not a synthetic kernel.
+ * through print/parse (or any transformation) stays drivable. A
+ * module that is not a synthetic kernel is an error value, never a
+ * crash or an exit.
+ */
+KernelInfoResult tryKernelInfoFromModule(const ir::Module& module);
+
+/**
+ * tryKernelInfoFromModule() for callers that cannot continue without
+ * the handles: fatal (PIBE_FATAL) with the same message otherwise.
  */
 KernelInfo kernelInfoFromModule(const ir::Module& module);
 

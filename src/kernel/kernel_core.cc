@@ -1455,16 +1455,16 @@ buildKernel(const KernelConfig& config)
     return builder.build();
 }
 
-KernelInfo
-kernelInfoFromModule(const ir::Module& module)
+KernelInfoResult
+tryKernelInfoFromModule(const ir::Module& module)
 {
     KernelInfo info;
     info.sys_dispatch = module.findFunction(kSysDispatchName);
     info.kernel_init = module.findFunction(kKernelInitName);
     if (info.sys_dispatch == ir::kInvalidFunc ||
         info.kernel_init == ir::kInvalidFunc) {
-        PIBE_FATAL("module is not a synthetic kernel "
-                   "(missing sys_dispatch/kernel_init)");
+        return {std::nullopt, "module is not a synthetic kernel "
+                              "(missing sys_dispatch/kernel_init)"};
     }
     bool found_kmem = false;
     for (ir::GlobalId g = 0; g < module.numGlobals(); ++g) {
@@ -1476,14 +1476,24 @@ kernelInfoFromModule(const ir::Module& module)
             info.syscall_table = g;
     }
     if (!found_kmem)
-        PIBE_FATAL("module is not a synthetic kernel (missing kmem)");
+        return {std::nullopt,
+                "module is not a synthetic kernel (missing kmem)"};
     // Count driver modules by their work functions.
     uint32_t drivers = 0;
     while (module.findFunction("drv" + std::to_string(drivers) +
                                "_work") != ir::kInvalidFunc)
         ++drivers;
     info.num_drivers = drivers;
-    return info;
+    return {info, {}};
+}
+
+KernelInfo
+kernelInfoFromModule(const ir::Module& module)
+{
+    KernelInfoResult r = tryKernelInfoFromModule(module);
+    if (!r.info)
+        PIBE_FATAL(r.error);
+    return *r.info;
 }
 
 } // namespace pibe::kernel

@@ -288,19 +288,30 @@ std::string
 profileTextCached(const std::string& kernel_text,
                   const ir::Module& kernel,
                   const kernel::KernelInfo& info, uint32_t base_iters,
-                  runtime::ArtifactCache* cache)
+                  runtime::ArtifactCache* cache,
+                  profile::EdgeProfile* lifted)
 {
     runtime::Digest d;
     d.add("pibe-profile-v1").add(kernel_text).add(base_iters);
+    // A corrupt artifact is a miss: recompute and put over it.
     if (cache) {
-        if (std::optional<std::string> text = cache->get(d.hex()))
-            return *text;
+        if (std::optional<std::string> text = cache->get(d.hex())) {
+            profile::LiftResult r = profile::tryLiftProfile(kernel, *text);
+            if (r.profile) {
+                if (lifted)
+                    *lifted = std::move(*r.profile);
+                return *text;
+            }
+            cache->noteCorrupt();
+        }
     }
     profile::EdgeProfile p =
         collectLmbenchProfile(kernel, info, base_iters);
     std::string text = profile::serializeProfile(kernel, p);
     if (cache)
         cache->put(d.hex(), text);
+    if (lifted)
+        *lifted = profile::liftProfile(kernel, text);
     return text;
 }
 
@@ -444,10 +455,7 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
         [&](const runtime::JobContext&) {
             shared.profile_text = profileTextCached(
                 shared.kernel_text, *shared.kernel, shared.info,
-                plan.profile_base_iters, cachep);
-            shared.profile =
-                profile::liftProfile(*shared.kernel,
-                                     shared.profile_text);
+                plan.profile_base_iters, cachep, &shared.profile);
         },
         {kernel_job});
 

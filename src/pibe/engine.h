@@ -127,13 +127,18 @@ std::string kernelTextCached(const kernel::KernelConfig& cfg,
 /**
  * Canonical serialized LMBench training profile for `kernel` (which
  * must be the parse of `kernel_text` — the text is the cache key, the
- * module is the execution input).
+ * module is the execution input). A cached artifact that does not
+ * lift onto `kernel` is a miss: it is counted in CacheStats::corrupt,
+ * and the profile is recomputed and put over it. When `lifted` is
+ * non-null it receives the text lifted onto `kernel`, the lift that
+ * checked a cached artifact, so a fetch lifts the profile once.
  */
 std::string profileTextCached(const std::string& kernel_text,
                               const ir::Module& kernel,
                               const kernel::KernelInfo& info,
                               uint32_t base_iters,
-                              runtime::ArtifactCache* cache);
+                              runtime::ArtifactCache* cache,
+                              profile::EdgeProfile* lifted = nullptr);
 
 /** Cache key of the production image for one (opt, defense) point. */
 std::string imageCacheKey(const std::string& kernel_text,

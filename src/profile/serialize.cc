@@ -27,19 +27,26 @@ serializeProfile(const ir::Module& module, const EdgeProfile& profile)
     return os.str();
 }
 
-EdgeProfile
-liftProfile(const ir::Module& module, const std::string& text,
-            size_t* dropped)
+LiftResult
+tryLiftProfile(const ir::Module& module, const std::string& text)
 {
+    using detail::concat;
+    LiftResult result;
     EdgeProfile profile;
     std::istringstream is(text);
     std::string header;
-    if (!std::getline(is, header) || header != "pibe-profile v1")
-        PIBE_FATAL("bad profile header: '", header, "'");
+    if (!std::getline(is, header) || header != "pibe-profile v1") {
+        result.error = concat("bad profile header: '", header, "'");
+        return result;
+    }
 
     size_t drop_count = 0;
     std::string line;
     size_t line_no = 1;
+    const auto bad_line = [&] {
+        result.error = concat("bad profile line ", line_no, ": ", line);
+        return result;
+    };
     while (std::getline(is, line)) {
         ++line_no;
         if (line.empty())
@@ -51,14 +58,14 @@ liftProfile(const ir::Module& module, const std::string& text,
             ir::SiteId site;
             uint64_t count;
             if (!(ls >> site >> count))
-                PIBE_FATAL("bad profile line ", line_no, ": ", line);
+                return bad_line();
             profile.addDirect(site, count);
         } else if (kind == 'I') {
             ir::SiteId site;
             std::string name;
             uint64_t count;
             if (!(ls >> site >> name >> count))
-                PIBE_FATAL("bad profile line ", line_no, ": ", line);
+                return bad_line();
             ir::FuncId target = module.findFunction(name);
             if (target == ir::kInvalidFunc) {
                 ++drop_count;
@@ -69,7 +76,7 @@ liftProfile(const ir::Module& module, const std::string& text,
             std::string name;
             uint64_t count;
             if (!(ls >> name >> count))
-                PIBE_FATAL("bad profile line ", line_no, ": ", line);
+                return bad_line();
             ir::FuncId f = module.findFunction(name);
             if (f == ir::kInvalidFunc) {
                 ++drop_count;
@@ -77,17 +84,30 @@ liftProfile(const ir::Module& module, const std::string& text,
             }
             profile.addInvocation(f, count);
         } else {
-            PIBE_FATAL("bad profile record kind '", kind, "' at line ",
-                       line_no);
+            result.error = concat("bad profile record kind '", kind,
+                                  "' at line ", line_no);
+            return result;
         }
     }
     if (drop_count > 0) {
         warn("liftProfile: dropped ", drop_count,
              " unresolvable profile entries");
     }
+    result.profile = std::move(profile);
+    result.dropped = drop_count;
+    return result;
+}
+
+EdgeProfile
+liftProfile(const ir::Module& module, const std::string& text,
+            size_t* dropped)
+{
+    LiftResult r = tryLiftProfile(module, text);
+    if (!r.profile)
+        PIBE_FATAL(r.error);
     if (dropped)
-        *dropped = drop_count;
-    return profile;
+        *dropped = r.dropped;
+    return std::move(*r.profile);
 }
 
 } // namespace pibe::profile

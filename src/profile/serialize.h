@@ -14,6 +14,7 @@
 #ifndef PIBE_PROFILE_SERIALIZE_H_
 #define PIBE_PROFILE_SERIALIZE_H_
 
+#include <optional>
 #include <string>
 
 #include "profile/edge_profile.h"
@@ -28,12 +29,28 @@ namespace pibe::profile {
 std::string serializeProfile(const ir::Module& module,
                              const EdgeProfile& profile);
 
+/** The outcome of tryLiftProfile(): a profile or why the text is bad. */
+struct LiftResult
+{
+    std::optional<EdgeProfile> profile; ///< Engaged iff the text lifted.
+    /** Otherwise "bad profile header: ...", "bad profile line N: ..."
+     *  or "bad profile record kind ...". */
+    std::string error;
+    size_t dropped = 0; ///< Entries whose names did not resolve.
+};
+
 /**
  * Parse the textual format and lift it onto `module`. Entries whose
- * function names do not resolve in `module` are dropped (with a count
- * returned via `dropped`, if non-null).
- *
- * Fatal on malformed input.
+ * function names do not resolve in `module` are dropped and counted.
+ * Malformed input is an error value, never a crash or an exit.
+ */
+LiftResult tryLiftProfile(const ir::Module& module,
+                          const std::string& text);
+
+/**
+ * tryLiftProfile() for callers that cannot continue without the
+ * profile: fatal (PIBE_FATAL) with the same message on malformed
+ * input. The drop count is returned via `dropped`, if non-null.
  */
 EdgeProfile liftProfile(const ir::Module& module, const std::string& text,
                         size_t* dropped = nullptr);

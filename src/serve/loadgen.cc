@@ -13,7 +13,6 @@
 
 #include "ir/parser.h"
 #include "pibe/engine.h"
-#include "profile/serialize.h"
 #include "runtime/artifact_cache.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -273,10 +272,9 @@ verifyInProcess(const LoadgenOptions& opts, Client& client,
     const ir::Module kernel = ir::parseModule(kernel_text);
     const kernel::KernelInfo info =
         kernel::kernelInfoFromModule(kernel);
+    profile::EdgeProfile profile;
     const std::string profile_text = core::profileTextCached(
-        kernel_text, kernel, info, profile_iters, &cache);
-    const profile::EdgeProfile profile =
-        profile::liftProfile(kernel, profile_text);
+        kernel_text, kernel, info, profile_iters, &cache, &profile);
 
     uint64_t mismatches = 0;
     uint32_t checked = 0;

@@ -10,7 +10,6 @@
 
 #include "check/checks.h"
 #include "ir/parser.h"
-#include "profile/serialize.h"
 #include "serve/protocol.h"
 #include "support/logging.h"
 #include "workload/workload.h"
@@ -65,6 +64,23 @@ parsedOrThrow(const std::string& text, const char* what,
                                  " text: " + parsed.error);
     }
     return std::make_unique<ir::Module>(std::move(*parsed.module));
+}
+
+/**
+ * The kernel handles of a module the daemon parsed from `cache`. A
+ * module that is not a synthetic kernel (say, an empty artifact) is
+ * corrupt, with parsedOrThrow()'s policy.
+ */
+kernel::KernelInfo
+kernelInfoOrThrow(const ir::Module& module, const char* what,
+                  runtime::ArtifactCache& cache)
+{
+    kernel::KernelInfoResult r = kernel::tryKernelInfoFromModule(module);
+    if (!r.info) {
+        cache.noteCorrupt();
+        throw std::runtime_error(std::string(what) + ": " + r.error);
+    }
+    return *r.info;
 }
 
 /** RAII pairing for the gate + inflight metrics gauge. */
@@ -299,16 +315,14 @@ Server::context()
                 ctx->kernel =
                     parsedOrThrow(ctx->kernel_text, "kernel", cache_);
                 ctx->info =
-                    kernel::kernelInfoFromModule(*ctx->kernel);
+                    kernelInfoOrThrow(*ctx->kernel, "kernel", cache_);
             });
         graph.add(
             "serve:profile",
             [&](const runtime::JobContext&) {
                 ctx->profile_text = core::profileTextCached(
                     ctx->kernel_text, *ctx->kernel, ctx->info,
-                    opts_.profile_base_iters, &cache_);
-                ctx->profile = profile::liftProfile(
-                    *ctx->kernel, ctx->profile_text);
+                    opts_.profile_base_iters, &cache_, &ctx->profile);
             },
             {kernel_job});
         graph.run(pool_);
@@ -405,8 +419,8 @@ Server::resolveImage(const Json& params, std::string* error,
                               defense, &cache_);
                           built->module = parsedOrThrow(
                               built->text, "image", cache_);
-                          built->info = kernel::kernelInfoFromModule(
-                              *built->module);
+                          built->info = kernelInfoOrThrow(
+                              *built->module, "image", cache_);
                           built->decoded = std::make_shared<
                               const uarch::DecodedModule>(
                               *built->module);

@@ -6,60 +6,10 @@
 #include "uarch/simulator.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "uarch/eval_bin.h"
 
-/**
- * Direct-threaded dispatch needs the GNU computed-goto extension
- * (GCC and Clang both provide it). -DPIBE_DISPATCH=switch at
- * configure time defines PIBE_FORCE_SWITCH_DISPATCH to compile the
- * threaded entry point down to the portable switch loop.
- */
-#if !defined(PIBE_FORCE_SWITCH_DISPATCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define PIBE_HAS_COMPUTED_GOTO 1
-#else
-#define PIBE_HAS_COMPUTED_GOTO 0
-#endif
-
 namespace pibe::uarch {
-
-bool
-Simulator::threadedDispatchAvailable()
-{
-    return PIBE_HAS_COMPUTED_GOTO != 0;
-}
-
-Simulator::DispatchMode
-Simulator::defaultDispatchMode()
-{
-    static const DispatchMode mode = [] {
-        if (!threadedDispatchAvailable())
-            return DispatchMode::kSwitch;
-        const char* env = std::getenv("PIBE_DISPATCH");
-        if (env && std::string_view(env) == "switch")
-            return DispatchMode::kSwitch;
-        return DispatchMode::kThreaded;
-    }();
-    return mode;
-}
-
-void
-Simulator::setDispatchMode(DispatchMode mode)
-{
-    if (mode == DispatchMode::kThreaded && !threadedDispatchAvailable())
-        mode = DispatchMode::kSwitch;
-    dispatch_ = mode;
-}
-
-const char*
-Simulator::dispatchModeName() const
-{
-    return dispatch_ == DispatchMode::kThreaded ? "threaded"
-                                                : "switch";
-}
 
 Simulator::Simulator(const ir::Module& module, const CostParams& params)
     : Simulator(std::make_shared<const DecodedModule>(module), params)
@@ -303,48 +253,19 @@ Simulator::run(ir::FuncId entry, const std::vector<int64_t>& args)
     enterDecoded(entry, ir::kNoReg, 0);
     std::copy(args.begin(), args.end(),
               reg_stack_.begin() + frames_.back().reg_base);
-    if (dispatch_ == DispatchMode::kThreaded) {
-        return timing_ ? runLoopThreaded<true>()
-                       : runLoopThreaded<false>();
-    }
-    return timing_ ? runLoopSwitch<true>() : runLoopSwitch<false>();
+    return timing_ ? runLoop<true>() : runLoop<false>();
 }
 
 /**
- * The decoded hot loops. The full loop body lives in interp_loop.inc
- * (which includes the shared handler bodies from interp_ops.inc);
- * each flavor sets PIBE_INTERP_THREADED to pick its dispatch
- * mechanism. Both are instantiated for Timing = true/false by run().
+ * The decoded hot loop. Its body lives in interp_loop.inc, which
+ * includes the handler bodies from interp_ops.inc; run() instantiates
+ * it for Timing = true/false.
  */
 template <bool Timing>
 int64_t
-Simulator::runLoopSwitch()
+Simulator::runLoop()
 {
-#define PIBE_INTERP_THREADED 0
 #include "uarch/interp_loop.inc"
-#undef PIBE_INTERP_THREADED
 }
-
-#if PIBE_HAS_COMPUTED_GOTO
-
-template <bool Timing>
-int64_t
-Simulator::runLoopThreaded()
-{
-#define PIBE_INTERP_THREADED 1
-#include "uarch/interp_loop.inc"
-#undef PIBE_INTERP_THREADED
-}
-
-#else // !PIBE_HAS_COMPUTED_GOTO
-
-template <bool Timing>
-int64_t
-Simulator::runLoopThreaded()
-{
-    return runLoopSwitch<Timing>();
-}
-
-#endif // PIBE_HAS_COMPUTED_GOTO
 
 } // namespace pibe::uarch

@@ -15,13 +15,14 @@
  *
  * Execution has two paths over the same microarchitectural state:
  *
- *  - run() executes the pre-decoded stream of a DecodedModule: flat
- *    code indices instead of (block, ip) pairs, precomputed byte
- *    addresses and fetch ranges, pooled contiguous register windows
- *    with caller-to-callee argument transfer written directly into
- *    the callee's window (zero per-call heap allocation in steady
- *    state), dense JumpSwitch state slots, and binary-search / dense
- *    switch dispatch.
+ *  - run() executes the pre-decoded stream of a DecodedModule in one
+ *    switch-dispatch loop (interp_loop.inc): flat code indices
+ *    instead of (block, ip) pairs, precomputed byte addresses and
+ *    fetch ranges, pooled contiguous register windows with
+ *    caller-to-callee argument transfer written directly into the
+ *    callee's window (zero per-call heap allocation in steady state),
+ *    dense JumpSwitch state slots, and binary-search / dense switch
+ *    dispatch.
  *  - runReference() is the original tree-walking loop, kept as the
  *    executable specification: differential tests assert both paths
  *    produce bit-identical stats, and the interpreter microbench
@@ -86,26 +87,12 @@ struct RunStats
 class Simulator
 {
   public:
-    /**
-     * How run() dispatches decoded instructions. Both modes execute
-     * the same handler bodies (one shared include) and produce
-     * bit-identical stats; they differ only in dispatch overhead.
-     */
-    enum class DispatchMode : uint8_t {
-        kThreaded, ///< Direct-threaded computed goto (GCC/Clang).
-        kSwitch,   ///< Portable switch-on-opcode loop.
-    };
-
-    /** False when the build has no computed-goto support (or was
-     *  configured with -DPIBE_DISPATCH=switch): threaded mode is then
-     *  unavailable and every simulator runs the switch loop. */
-    static bool threadedDispatchAvailable();
-
-    /**
-     * Process-wide default: kThreaded when available, unless the
-     * PIBE_DISPATCH environment variable says "switch" (read once).
-     */
-    static DispatchMode defaultDispatchMode();
+    // Provenance shims, read only by perfbench. run() has one dispatch
+    // loop, a switch, so they always name it; they go when perfbench
+    // stops reading them.
+    enum class DispatchMode : uint8_t { kThreaded, kSwitch };
+    static DispatchMode defaultDispatchMode() { return DispatchMode::kSwitch; }
+    const char* dispatchModeName() const { return "switch"; }
 
     explicit Simulator(const ir::Module& module,
                        const CostParams& params = {});
@@ -165,17 +152,6 @@ class Simulator
      * microbenchmark.
      */
     void setUseReferencePath(bool use) { use_reference_ = use; }
-
-    /**
-     * Select the decoded-path dispatch mode for this simulator.
-     * Requests for kThreaded are clamped to kSwitch when threaded
-     * dispatch is unavailable, so dispatchMode() always reports what
-     * actually runs.
-     */
-    void setDispatchMode(DispatchMode mode);
-    DispatchMode dispatchMode() const { return dispatch_; }
-    /** "threaded" or "switch" (benchmark provenance stamps). */
-    const char* dispatchModeName() const;
 
     /** Running hash of all kSink values — the observable behaviour of
      *  an execution; equal hashes mean equivalent observed effects. */
@@ -265,14 +241,11 @@ class Simulator
 
     // Decoded path ----------------------------------------------------
     /**
-     * The decoded hot loop, specialized on the timing model so the
-     * functional path carries no per-instruction timing branches, in
-     * two dispatch flavors sharing one handler-body include
-     * (interp_ops.inc). runLoopThreaded falls back to the switch body
-     * when the compiler has no computed goto.
+     * The decoded hot loop (interp_loop.inc + interp_ops.inc),
+     * specialized on the timing model so the functional path carries
+     * no per-instruction timing branches.
      */
-    template <bool Timing> int64_t runLoopThreaded();
-    template <bool Timing> int64_t runLoopSwitch();
+    template <bool Timing> int64_t runLoop();
     void enterDecoded(ir::FuncId f, ir::Reg ret_dst,
                       uint64_t ret_addr);
     void leaveDecoded(int64_t value);
@@ -305,7 +278,6 @@ class Simulator
     SpeculationObserver* observer_ = nullptr;
     bool timing_ = true;
     bool use_reference_ = false;
-    DispatchMode dispatch_ = defaultDispatchMode();
 
     RunStats stats_;
     uint64_t sink_hash_ = 0x9dc5;

@@ -566,42 +566,101 @@ TEST(ServeServer, MeasureBitIdenticalToDirectEngineCall)
 
 // A corrupt image artifact in the shared cache directory answers the
 // requests for that image with an error; the daemon keeps serving.
+// Text that does not parse and an empty artifact, which parses as an
+// empty module that is not a kernel, both count as corrupt.
 TEST(ServeServer, CorruptCachedImageIsAnErrorResponse)
 {
-    TempDir dir("corrupt_image");
+    struct Corruption
+    {
+        const char* tag;
+        const char* text;
+        const char* error;
+    };
+    const Corruption corruptions[] = {
+        {"garbage", "not a PIR module\n",
+         "PIR parse error at line 1: instruction outside function"},
+        {"empty", "",
+         "image: module is not a synthetic kernel (missing "
+         "sys_dispatch/kernel_init)"},
+    };
+    for (const Corruption& c : corruptions) {
+        SCOPED_TRACE(c.tag);
+        TempDir dir(std::string("corrupt_image_") + c.tag);
+        serve::ServeOptions opts = tinyServeOptions();
+        opts.cache_dir = dir.str();
+        Json corrupted = Json::object();
+        corrupted.set("defense", "retpolines");
+        std::string key;
+        {
+            serve::Server first(opts);
+            key = callServer(first, "optimize", corrupted)["image"]
+                      .asString();
+        }
+        {
+            std::ofstream art(dir.path() / (key + ".art"),
+                              std::ios::trunc);
+            art << c.text;
+        }
+
+        serve::Server fresh(opts);
+        const Json bad =
+            fresh.handle(serve::makeRequest(1, "optimize", corrupted));
+        EXPECT_FALSE(bad["ok"].asBool(true));
+        EXPECT_NE(bad["error"].asString().find(c.error),
+                  std::string::npos)
+            << bad["error"].asString();
+        EXPECT_EQ(callServer(fresh, "metrics", Json::object())["cache"]
+                            ["corrupt"]
+                      .asInt(),
+                  1);
+
+        Json other = Json::object();
+        other.set("defense", "lvi");
+        other.set("workload", "read");
+        const Json served = callServer(fresh, "measure", other);
+        EXPECT_NE(served["image"].asString(), key);
+    }
+}
+
+// A cached training profile that does not lift is a cache miss: the
+// daemon recomputes it, puts it over the bad entry, and answers as it
+// would from a clean cache.
+TEST(ServeServer, CorruptCachedProfileIsRecomputed)
+{
+    TempDir dir("corrupt_profile");
     serve::ServeOptions opts = tinyServeOptions();
     opts.cache_dir = dir.str();
-    Json corrupted = Json::object();
-    corrupted.set("defense", "retpolines");
+    Json params = Json::object();
+    params.set("defense", "retpolines");
     std::string key;
     {
         serve::Server first(opts);
-        key = callServer(first, "optimize", corrupted)["image"].asString();
+        key = callServer(first, "optimize", params)["image"].asString();
     }
+    std::vector<fs::path> profiles;
+    for (const fs::directory_entry& e : fs::directory_iterator(dir.path())) {
+        std::ifstream in(e.path());
+        std::string first_line;
+        if (std::getline(in, first_line) && first_line == "pibe-profile v1")
+            profiles.push_back(e.path());
+    }
+    ASSERT_EQ(profiles.size(), 1u);
     {
-        std::ofstream art(dir.path() / (key + ".art"), std::ios::trunc);
-        art << "not a PIR module\n";
+        std::ofstream art(profiles[0], std::ios::trunc);
+        art << "not a profile\n";
     }
 
     serve::Server fresh(opts);
-    const Json bad =
-        fresh.handle(serve::makeRequest(1, "optimize", corrupted));
-    EXPECT_FALSE(bad["ok"].asBool(true));
-    EXPECT_NE(bad["error"].asString().find(
-                  "PIR parse error at line 1: instruction outside "
-                  "function"),
-              std::string::npos)
-        << bad["error"].asString();
+    EXPECT_EQ(callServer(fresh, "optimize", params)["image"].asString(),
+              key);
     EXPECT_EQ(callServer(fresh, "metrics", Json::object())["cache"]
                         ["corrupt"]
                   .asInt(),
               1);
-
-    Json other = Json::object();
-    other.set("defense", "lvi");
-    other.set("workload", "read");
-    const Json served = callServer(fresh, "measure", other);
-    EXPECT_NE(served["image"].asString(), key);
+    std::ifstream in(profiles[0]);
+    std::string first_line;
+    std::getline(in, first_line);
+    EXPECT_EQ(first_line, "pibe-profile v1");
 }
 
 // A corrupt measurement artifact in a shared cache directory is a

@@ -7,9 +7,9 @@
 #
 # Default mode gates BENCH_interpreter.json artifacts (written by
 # `microbench_interpreter --interpreter-json`) on
-# decoded_minstr_per_s, the peak-window throughput of the threaded
-# fused engine. BASELINE defaults to the BENCH_interpreter.json
-# committed at the repo root.
+# decoded_minstr_per_s, the peak-window throughput of the fused
+# decoded engine (its one switch-dispatch loop). BASELINE defaults to
+# the BENCH_interpreter.json committed at the repo root.
 #
 # --scale gates BENCH_scale.json artifacts (written by
 # `pibe scalebench`). Hard gate: every measured row's image digest

@@ -140,17 +140,12 @@ echo "== residual-attack-surface report (pibe surface) =="
     -p "$WORK/surface-prof.txt" --json "$SURFACE_JSON" --fail-on warn
 
 # Provenance stamp: every BENCH_*.json records where its numbers came
-# from, so checked-in baselines are auditable. The dispatch mode is
-# read back from the interpreter artifact (the binary knows which
-# engine it actually ran).
+# from, so checked-in baselines are auditable.
 GIT_SHA=$(git -C "$(dirname "$0")/.." rev-parse --short HEAD \
     2>/dev/null || echo unknown)
 CPU_MODEL=$(awk -F': ' '/model name/ { print $2; exit }' \
     /proc/cpuinfo 2>/dev/null || echo unknown)
 CXX_ID=$("${CXX:-c++}" --version 2>/dev/null | head -1 || echo unknown)
-DISPATCH=$(python3 -c 'import json, sys
-print(json.load(open(sys.argv[1]))["provenance"]["dispatch_mode"])' \
-    "$INTERP_JSON" 2>/dev/null || echo unknown)
 STAMP_UTC=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
 {
@@ -159,7 +154,6 @@ STAMP_UTC=$(date -u +%Y-%m-%dT%H:%M:%SZ)
     echo "    \"git_sha\": \"$GIT_SHA\","
     echo "    \"compiler\": \"$CXX_ID\","
     echo "    \"cpu\": \"$CPU_MODEL\","
-    echo "    \"dispatch_mode\": \"$DISPATCH\","
     echo "    \"timestamp_utc\": \"$STAMP_UTC\""
     echo "  },"
     echo "  \"jobs\": $JOBS,"
