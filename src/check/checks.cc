@@ -598,6 +598,13 @@ class Runner
     runTargets()
     {
         TargetSetAnalysis& tsa = am_.targetSets(opts_.roots);
+        const size_t solves = tsa.solves();
+        tsa.ensureSolved();
+        if (tsa.solves() != solves) {
+            // Summary extraction ran on a parallelFor sweep.
+            const SolverStats& ss = tsa.solverStats();
+            sweep_extra_ms_ += ss.extract_work_ms - ss.extract_ms;
+        }
         targetsBadSlots(tsa);
         targetsGuardRange(0,
                           static_cast<ir::FuncId>(module_.numFunctions()),

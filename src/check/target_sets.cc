@@ -4,28 +4,88 @@
  *
  * See target_sets.h for the abstraction and DESIGN.md §10 for the
  * constraint rules and the soundness argument; DESIGN.md §11 covers
- * the solver. solve() is one worklist fixpoint: whole sets travel
- * along every subset edge on every visit of its source. Sets are
- * immutable and shared through handles, so a set flowing along a copy
- * edge costs a reference count, and a union allocates a new set only
- * when neither side covers the other.
+ * the solver. solve() is one worklist fixpoint: a popped node sends
+ * its whole set along every out-edge. Sets are immutable and shared
+ * through handles, so a set flowing along a copy edge costs a
+ * reference count, and a union allocates a new set only when neither
+ * side covers the other. Static edges are recorded in flat CSR arrays
+ * and send nothing when recorded: every node that holds something
+ * starts on the worklist, and every node that gains something is
+ * pushed again.
  *
  * Icall argument/return edges are added dynamically as the pointer's
- * set grows. Because the system is monotone and the worklist runs to
- * the least fixpoint, the solution is independent of processing order.
+ * set grows, and send at once, because their source may already have
+ * been popped for the last time. Because the system is monotone and
+ * the worklist runs to the least fixpoint, the solution is independent
+ * of processing order.
  */
 #include "check/target_sets.h"
 
 #include <algorithm>
 #include <chrono>
 #include <iomanip>
+#include <numeric>
+#include <span>
 #include <sstream>
 
 #include "harden/harden.h"
+#include "runtime/thread_pool.h"
 
 namespace pibe::check {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/** Functions per parallelFor chunk of summary extraction (the audit
+ *  sweeps' chunk). */
+constexpr size_t kFuncsPerChunk = 16;
+
+double
+msSince(Clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(Clock::now() -
+                                                     start)
+        .count();
+}
+
+/**
+ * The out-edges of every node in compressed sparse row form, built in
+ * three steps: count() each edge's source, allocate(), then add() the
+ * same edges in the same order, so each node keeps its edges in
+ * insertion order.
+ */
+class Csr
+{
+  public:
+    explicit Csr(uint32_t nodes = 0) : begin_(nodes + 2, 0) {}
+
+    // Counting at from + 2 makes the prefix sum leave begin_[v + 1] at
+    // the start of v's edges; add() advances it to the start of v + 1.
+    void count(uint32_t from) { ++begin_[from + 2]; }
+
+    void
+    allocate()
+    {
+        std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
+        to_.resize(begin_.back());
+    }
+
+    void add(uint32_t from, uint32_t to) { to_[begin_[from + 1]++] = to; }
+
+    std::span<const uint32_t>
+    out(uint32_t node) const
+    {
+        return std::span(to_).subspan(begin_[node],
+                                      begin_[node + 1] - begin_[node]);
+    }
+
+    size_t size() const { return to_.size(); }
+
+  private:
+    std::vector<uint32_t> begin_;
+    std::vector<uint32_t> to_;
+};
 
 /** Conventional module entry points (matches checks.cc roots). */
 const char* const kDefaultRoots[] = {"kernel_init", "sys_dispatch",
@@ -77,12 +137,6 @@ TargetSetAnalysis::regNode(ir::FuncId f, ir::Reg r) const
 }
 
 uint32_t
-TargetSetAnalysis::frameNode(ir::FuncId f, uint32_t slot) const
-{
-    return frame_base_[f] + slot;
-}
-
-uint32_t
 TargetSetAnalysis::retNode(ir::FuncId f) const
 {
     return ret_node_[f];
@@ -95,13 +149,13 @@ TargetSetAnalysis::globalNode(ir::GlobalId g) const
 }
 
 void
-TargetSetAnalysis::extractSummary(ir::FuncId f)
+TargetSetAnalysis::extractSummary(ir::FuncId f,
+                                  std::vector<Constraint>& scratch)
 {
     FuncSummary& sum = summaries_[f];
-    sum.constraints.clear();
+    scratch.clear();
     sum.icalls.clear();
     sum.dirty = false;
-    ++summaries_extracted_;
 
     const ir::Function& fn = module_.func(f);
     sum.num_params = fn.num_params;
@@ -130,7 +184,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
                         c.kind = Constraint::Kind::kIncomplete;
                         c.dst = in.dst;
                     }
-                    sum.constraints.push_back(c);
+                    scratch.push_back(c);
                 }
                 break;
               case ir::Opcode::kFuncAddr:
@@ -143,7 +197,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
                         c.kind = Constraint::Kind::kIncomplete;
                         c.dst = in.dst;
                     }
-                    sum.constraints.push_back(c);
+                    scratch.push_back(c);
                 }
                 break;
               case ir::Opcode::kMove:
@@ -151,7 +205,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
                     c.kind = Constraint::Kind::kCopy;
                     c.dst = in.dst;
                     c.src = in.a;
-                    sum.constraints.push_back(c);
+                    scratch.push_back(c);
                 }
                 break;
               case ir::Opcode::kBinOp:
@@ -166,7 +220,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
                         c.kind = Constraint::Kind::kTaint;
                         c.dst = in.dst;
                         c.src = src;
-                        sum.constraints.push_back(c);
+                        scratch.push_back(c);
                     }
                 }
                 break;
@@ -181,7 +235,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
                         c.kind = Constraint::Kind::kIncomplete;
                         c.dst = in.dst;
                     }
-                    sum.constraints.push_back(c);
+                    scratch.push_back(c);
                 }
                 break;
               case ir::Opcode::kStore:
@@ -189,7 +243,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
                     c.kind = Constraint::Kind::kStoreGlobal;
                     c.dst = in.global;
                     c.src = in.b;
-                    sum.constraints.push_back(c);
+                    scratch.push_back(c);
                 }
                 break;
               case ir::Opcode::kFrameLoad:
@@ -203,7 +257,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
                         c.kind = Constraint::Kind::kIncomplete;
                         c.dst = in.dst;
                     }
-                    sum.constraints.push_back(c);
+                    scratch.push_back(c);
                 }
                 break;
               case ir::Opcode::kFrameStore:
@@ -212,7 +266,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
                     c.kind = Constraint::Kind::kFrameStore;
                     c.dst = static_cast<uint32_t>(in.imm);
                     c.src = in.a;
-                    sum.constraints.push_back(c);
+                    scratch.push_back(c);
                 }
                 break;
               case ir::Opcode::kCall: {
@@ -220,7 +274,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
                     if (in.dst != ir::kNoReg && reg_ok(in.dst)) {
                         c.kind = Constraint::Kind::kIncomplete;
                         c.dst = in.dst;
-                        sum.constraints.push_back(c);
+                        scratch.push_back(c);
                     }
                     break;
                 }
@@ -237,7 +291,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
                         c.dst = ai;
                         c.src = in.args[ai];
                         c.callee = in.callee;
-                        sum.constraints.push_back(c);
+                        scratch.push_back(c);
                     }
                 }
                 if (in.dst != ir::kNoReg && reg_ok(in.dst)) {
@@ -247,7 +301,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
                     c.kind = Constraint::Kind::kCallRet;
                     c.dst = in.dst;
                     c.callee = in.callee;
-                    sum.constraints.push_back(c);
+                    scratch.push_back(c);
                 }
                 break;
               }
@@ -267,7 +321,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
                 if (in.a != ir::kNoReg && reg_ok(in.a)) {
                     c.kind = Constraint::Kind::kRet;
                     c.src = in.a;
-                    sum.constraints.push_back(c);
+                    scratch.push_back(c);
                 }
                 break;
               default:
@@ -275,6 +329,7 @@ TargetSetAnalysis::extractSummary(ir::FuncId f)
             }
         }
     }
+    sum.constraints.assign(scratch.begin(), scratch.end());
 }
 
 bool
@@ -358,6 +413,36 @@ TargetSetAnalysis::layoutNodes()
     num_nodes_ = n;
 }
 
+bool
+TargetSetAnalysis::extractDirty(bool keep)
+{
+    std::vector<ir::FuncId> dirty;
+    uint64_t insts = 0;
+    for (ir::FuncId f = 0; f < summaries_.size(); ++f) {
+        if (summaries_[f].dirty) {
+            dirty.push_back(f);
+            insts += module_.func(f).instructionCount();
+        }
+    }
+    std::vector<FuncSummary> before;
+    if (keep)
+        for (ir::FuncId f : dirty)
+            before.push_back(std::move(summaries_[f]));
+    const auto t0 = Clock::now();
+    stats_.extract_work_ms = runtime::parallelFor(
+        dirty.size(), kFuncsPerChunk, insts / runtime::kInstsPerHelper,
+        [&](size_t begin, size_t end) {
+            std::vector<Constraint> scratch;
+            for (size_t i = begin; i < end; ++i)
+                extractSummary(dirty[i], scratch);
+        });
+    stats_.extract_ms = msSince(t0);
+    summaries_extracted_ += dirty.size();
+    for (size_t i = 0; i < before.size() && keep; ++i)
+        keep = sameFixpoint(before[i], summaries_[dirty[i]]);
+    return keep;
+}
+
 void
 TargetSetAnalysis::solve()
 {
@@ -369,17 +454,7 @@ TargetSetAnalysis::solve()
     resolve_all_ = false;
     if (summaries_.size() < nf)
         summaries_.resize(nf);
-    for (ir::FuncId f = 0; f < nf; ++f) {
-        if (!summaries_[f].dirty)
-            continue;
-        if (!keep) {
-            extractSummary(f);
-            continue;
-        }
-        const FuncSummary before = std::move(summaries_[f]);
-        extractSummary(f);
-        keep = sameFixpoint(before, summaries_[f]);
-    }
+    keep = extractDirty(keep);
     ++solves_;
     if (keep) {
         relayoutNodes();
@@ -388,19 +463,23 @@ TargetSetAnalysis::solve()
         return;
     }
     layoutNodes();
-    stats_ = SolverStats{};
-    stats_.nodes = num_nodes_;
-    const auto t0 = std::chrono::steady_clock::now();
+    const auto t0 = Clock::now();
 
     const uint32_t n = num_nodes_;
+    stats_.nodes = n;
+    stats_.dynamic_edges = 0;
+    stats_.pops = 0;
     pts_.assign(n, nullptr);
     incomplete_.assign(n, false);
     sites_.clear();
     bad_slots_.clear();
 
     // Solve-only state, released when the fixpoint is reached.
-    std::vector<std::vector<uint32_t>> edges(n);
-    std::vector<std::vector<uint32_t>> taint_edges(n);
+    // Dynamic edges by source: dynamic_list[node] indexes the source's
+    // list in dynamic_edges, so a node without any costs four bytes.
+    constexpr uint32_t kNoList = ~0u;
+    std::vector<uint32_t> dynamic_list(n, kNoList);
+    std::vector<std::vector<uint32_t>> dynamic_edges;
     std::vector<uint32_t> worklist;
     std::vector<bool> on_worklist(n, false);
 
@@ -443,23 +522,13 @@ TargetSetAnalysis::solve()
         dst = std::move(merged);
         return true;
     };
-    auto addEdge = [&](uint32_t from, uint32_t to) {
-        edges[from].push_back(to);
+    // Send pts(from) and its incomplete bit along the edge from -> to.
+    auto send = [&](uint32_t from, uint32_t to) {
         bool changed = unionInto(to, pts_[from]);
         if (incomplete_[from])
             changed = markIncomplete(to) || changed;
         if (changed)
             push(to);
-    };
-    auto addStaticEdge = [&](uint32_t from, uint32_t to) {
-        addEdge(from, to);
-        ++stats_.static_edges;
-    };
-    auto addTaintEdge = [&](uint32_t from, uint32_t to) {
-        taint_edges[from].push_back(to);
-        if (pts_[from] || incomplete_[from])
-            if (markIncomplete(to))
-                push(to);
     };
     auto seed = [&](uint32_t node, std::vector<ir::FuncId> targets) {
         std::sort(targets.begin(), targets.end());
@@ -509,51 +578,80 @@ TargetSetAnalysis::solve()
             seedRoot(name);
     }
 
-    // --- static constraints ---
-    for (ir::FuncId f = 0; f < nf; ++f) {
-        const ir::Function& fn = module_.func(f);
-        if (fn.isDeclaration())
-            markIncomplete(retNode(f)); // Body unknown.
+    // --- static constraints: seeds, subset edges and taint edges ---
+    // Calls edge(from, to, taint) for each subset or taint edge of f's
+    // summary and node(c, dst) for each seed or incomplete constraint.
+    // Edges only record: the fixpoint pops every node that holds
+    // something, and that pop sends.
+    auto visit = [&](ir::FuncId f, auto&& edge, auto&& node) {
+        const uint32_t regs = reg_base_[f];
+        const uint32_t frame = frame_base_[f];
+        const uint32_t ret = ret_node_[f];
         for (const Constraint& c : summaries_[f].constraints) {
             switch (c.kind) {
-              case Constraint::Kind::kSeed:
-                seed(regNode(f, c.dst), {c.target});
-                taken.push_back(c.target);
-                break;
               case Constraint::Kind::kCopy:
-                addStaticEdge(regNode(f, c.src), regNode(f, c.dst));
+                edge(regs + c.src, regs + c.dst, false);
                 break;
               case Constraint::Kind::kTaint:
-                addTaintEdge(regNode(f, c.src), regNode(f, c.dst));
+                edge(regs + c.src, regs + c.dst, true);
                 break;
               case Constraint::Kind::kLoadGlobal:
-                addStaticEdge(globalNode(c.src), regNode(f, c.dst));
+                edge(globalNode(c.src), regs + c.dst, false);
                 break;
               case Constraint::Kind::kStoreGlobal:
-                addStaticEdge(regNode(f, c.src), globalNode(c.dst));
+                edge(regs + c.src, globalNode(c.dst), false);
                 break;
               case Constraint::Kind::kFrameLoad:
-                addStaticEdge(frameNode(f, c.src), regNode(f, c.dst));
+                edge(frame + c.src, regs + c.dst, false);
                 break;
               case Constraint::Kind::kFrameStore:
-                addStaticEdge(regNode(f, c.src), frameNode(f, c.dst));
+                edge(regs + c.src, frame + c.dst, false);
                 break;
               case Constraint::Kind::kCallArg:
-                addStaticEdge(regNode(f, c.src),
-                              regNode(c.callee, c.dst));
+                edge(regs + c.src, regNode(c.callee, c.dst), false);
                 break;
               case Constraint::Kind::kCallRet:
-                addStaticEdge(retNode(c.callee), regNode(f, c.dst));
+                edge(retNode(c.callee), regs + c.dst, false);
                 break;
               case Constraint::Kind::kRet:
-                addStaticEdge(regNode(f, c.src), retNode(f));
+                edge(regs + c.src, ret, false);
                 break;
+              case Constraint::Kind::kSeed:
               case Constraint::Kind::kIncomplete:
-                markIncomplete(regNode(f, c.dst));
+                node(c, regs + c.dst);
                 break;
             }
         }
+    };
+    Csr edges(n);
+    Csr taint_edges(n);
+    for (ir::FuncId f = 0; f < nf; ++f) {
+        if (module_.func(f).isDeclaration())
+            markIncomplete(retNode(f)); // Body unknown.
+        visit(
+            f,
+            [&](uint32_t from, uint32_t, bool taint) {
+                (taint ? taint_edges : edges).count(from);
+            },
+            [&](const Constraint& c, uint32_t dst) {
+                if (c.kind == Constraint::Kind::kIncomplete) {
+                    markIncomplete(dst);
+                } else {
+                    seed(dst, {c.target});
+                    taken.push_back(c.target);
+                }
+            });
     }
+    edges.allocate();
+    taint_edges.allocate();
+    for (ir::FuncId f = 0; f < nf; ++f)
+        visit(
+            f,
+            [&](uint32_t from, uint32_t to, bool taint) {
+                (taint ? taint_edges : edges).add(from, to);
+            },
+            [](const Constraint&, uint32_t) {});
+    stats_.static_edges = static_cast<uint32_t>(edges.size());
 
     std::sort(taken.begin(), taken.end());
     taken.erase(std::unique(taken.begin(), taken.end()), taken.end());
@@ -569,7 +667,6 @@ TargetSetAnalysis::solve()
         bool bad_ptr = false;
     };
     std::vector<SiteState> states;
-    std::vector<std::vector<uint32_t>> sites_by_node(n);
     for (ir::FuncId f = 0; f < nf; ++f) {
         const ir::Function& fn = module_.func(f);
         for (const IcallRecord& rec : summaries_[f].icalls) {
@@ -577,12 +674,20 @@ TargetSetAnalysis::solve()
             st.func = f;
             st.rec = &rec;
             st.bad_ptr = rec.ptr >= fn.num_regs;
-            if (!st.bad_ptr)
-                sites_by_node[regNode(f, rec.ptr)].push_back(
-                    static_cast<uint32_t>(states.size()));
             states.push_back(std::move(st));
         }
     }
+    // The sites that call through each pointer node.
+    Csr sites_by_node(n);
+    for (const SiteState& st : states)
+        if (!st.bad_ptr)
+            sites_by_node.count(regNode(st.func, st.rec->ptr));
+    sites_by_node.allocate();
+    for (uint32_t idx = 0; idx < states.size(); ++idx)
+        if (!states[idx].bad_ptr)
+            sites_by_node.add(regNode(states[idx].func,
+                                      states[idx].rec->ptr),
+                              idx);
 
     // An icall through an unresolved pointer may invoke any
     // address-taken function: its parameters then hold unknown values.
@@ -600,8 +705,15 @@ TargetSetAnalysis::solve()
         }
     };
 
+    // A wired edge sends at once: its source may already have been
+    // popped for the last time.
     auto addDynamicEdge = [&](uint32_t from, uint32_t to) {
-        addEdge(from, to);
+        if (dynamic_list[from] == kNoList) {
+            dynamic_list[from] = static_cast<uint32_t>(dynamic_edges.size());
+            dynamic_edges.emplace_back();
+        }
+        dynamic_edges[dynamic_list[from]].push_back(to);
+        send(from, to);
         ++stats_.dynamic_edges;
     };
     auto processSite = [&](uint32_t idx) {
@@ -651,34 +763,36 @@ TargetSetAnalysis::solve()
             taintAddressTakenParams();
 
     // --- fixpoint ---
+    // A node that holds nothing sends nothing, so only the seeded
+    // nodes start on the worklist; every later change pushes its node.
     for (uint32_t nd = 0; nd < n; ++nd)
-        push(nd);
+        if (pts_[nd] || incomplete_[nd])
+            push(nd);
     while (!worklist.empty()) {
         uint32_t nd = worklist.back();
         worklist.pop_back();
         on_worklist[nd] = false;
         ++stats_.pops;
-        for (uint32_t to : edges[nd]) {
-            bool changed = unionInto(to, pts_[nd]);
-            if (incomplete_[nd])
-                changed = markIncomplete(to) || changed;
-            if (changed)
+        for (uint32_t to : edges.out(nd))
+            send(nd, to);
+        if (dynamic_list[nd] != kNoList)
+            for (uint32_t to : dynamic_edges[dynamic_list[nd]])
+                send(nd, to);
+        for (uint32_t to : taint_edges.out(nd))
+            if (markIncomplete(to))
                 push(to);
-        }
-        if (pts_[nd] || incomplete_[nd])
-            for (uint32_t to : taint_edges[nd])
-                if (markIncomplete(to))
-                    push(to);
-        for (uint32_t sidx : sites_by_node[nd])
+        for (uint32_t sidx : sites_by_node.out(nd))
             processSite(sidx);
     }
 
     // --- publish per-site results ---
     // Free the solve-only state first, so the published target lists
     // reuse its memory instead of growing the heap past it.
-    edges = {};
-    taint_edges = {};
-    sites_by_node = {};
+    edges = Csr();
+    taint_edges = Csr();
+    sites_by_node = Csr();
+    dynamic_list = {};
+    dynamic_edges = {};
     for (const SiteState& st : states) {
         const IcallRecord& rec = *st.rec;
         SiteTargets out;
@@ -699,9 +813,7 @@ TargetSetAnalysis::solve()
             sites_.emplace(out.site, std::move(out));
     }
 
-    stats_.solve_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
+    stats_.solve_ms = msSince(t0);
     solved_ = true;
 }
 

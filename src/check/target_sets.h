@@ -39,7 +39,10 @@
  * The analysis is incremental at summary granularity: constraints are
  * extracted per function and cached; invalidateFunction(f) marks one
  * summary dirty and the next query re-extracts only that summary
- * before re-running the (cheap, module-wide) fixpoint. When every
+ * before re-running the module-wide fixpoint. Dirty summaries are
+ * extracted on runtime::parallelFor (one helper per
+ * runtime::kInstsPerHelper instructions to extract), each worker
+ * writing only the summaries of its own functions. When every
  * re-extracted summary equals the one it replaces (a pass changed
  * nothing the analysis reads, as when hardening lowers a switch), the
  * previous fixpoint is kept, its nodes re-laid out if register counts
@@ -47,10 +50,13 @@
  * summary: a pass that changes one calls invalidateAll().
  *
  * One worklist solver computes the fixpoint (see DESIGN.md §11):
- * whole sets travel along subset edges until nothing changes. Each
- * node holds a shared handle to an immutable sorted set, so a set that
- * flows along a copy edge is shared, not copied; a union allocates
- * only when neither side covers the other.
+ * whole sets travel along subset edges until nothing changes. Static
+ * copy and taint edges sit in flat compressed-sparse-row arrays;
+ * icall edges wired as pointer sets grow go to per-source lists. Only
+ * the seeded nodes start on the worklist. Each node holds a shared
+ * handle to an immutable sorted set, so a set that flows along a copy
+ * edge is shared, not copied; a union allocates only when neither
+ * side covers the other.
  */
 #ifndef PIBE_CHECK_TARGET_SETS_H_
 #define PIBE_CHECK_TARGET_SETS_H_
@@ -111,14 +117,21 @@ struct BadGlobalSlot
     int64_t value = 0;
 };
 
-/** Counters from the most recent fixpoint solve. */
+/** Counters from the most recent solve. A solve that keeps the
+ *  previous fixpoint updates only the two extraction times. */
 struct SolverStats
 {
     uint32_t nodes = 0;         ///< Abstract locations.
     uint32_t static_edges = 0;  ///< Subset edges from summaries.
     uint32_t dynamic_edges = 0; ///< Icall arg/ret edges wired in.
     uint64_t pops = 0;          ///< Worklist pops to fixpoint.
-    double solve_ms = 0.0;      ///< Wall time of the last solve.
+    /** Wall time after extraction: edges, fixpoint, publish. */
+    double solve_ms = 0.0;
+    /** Wall time of re-extracting the dirty summaries (the span). */
+    double extract_ms = 0.0;
+    /** Busy time of that extraction summed over every thread that
+     *  took part (the work). */
+    double extract_work_ms = 0.0;
 };
 
 class TargetSetAnalysis
@@ -239,14 +252,25 @@ class TargetSetAnalysis
      *  to unchanged; null is the empty set. */
     using SetHandle = std::shared_ptr<const std::vector<ir::FuncId>>;
 
-    void extractSummary(ir::FuncId f);
+    /** Rebuild summaries_[f] from the module, collecting constraints
+     *  in `scratch` so the summary keeps an exact-size copy. Reads
+     *  only the module and writes only summaries_[f], so distinct
+     *  functions extract concurrently. */
+    void extractSummary(ir::FuncId f, std::vector<Constraint>& scratch);
+    /**
+     * Re-extract every dirty summary on a parallelFor sweep.
+     * @param keep Whether the last fixpoint may still be kept; if so,
+     *        the dirty summaries are saved first and compared after.
+     * @return `keep` and every re-extracted summary leaves the
+     *         fixpoint as it was (sameFixpoint).
+     */
+    bool extractDirty(bool keep);
     static bool sameFixpoint(const FuncSummary& before,
                              const FuncSummary& now);
     void layoutNodes();
     void relayoutNodes();
     void solve();
     uint32_t regNode(ir::FuncId f, ir::Reg r) const;
-    uint32_t frameNode(ir::FuncId f, uint32_t slot) const;
     uint32_t retNode(ir::FuncId f) const;
     uint32_t globalNode(ir::GlobalId g) const;
 

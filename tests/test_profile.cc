@@ -1,8 +1,15 @@
-/** @file Unit tests for edge profiles and profile serialization. */
+/** @file Unit tests for edge profiles, profile serialization and the
+ *  profile reader's mutation fuzzer. */
 #include <gtest/gtest.h>
+
+#include <iterator>
 
 #include "profile/edge_profile.h"
 #include "profile/serialize.h"
+#include "scale/scale_builder.h"
+#include "scale/synthetic_profile.h"
+#include "support/logging.h"
+#include "support/rng.h"
 #include "tests/test_util.h"
 
 namespace pibe {
@@ -181,6 +188,131 @@ TEST(Serialize, SurvivesFunctionRenumbering)
     ASSERT_EQ(targets.size(), 1u);
     EXPECT_EQ(targets[0].target, bf); // resolved by name, not id
     EXPECT_EQ(q.invocations(bg), 9u);
+}
+
+// ---------------------------------------------------------------------
+// Profile-reader fuzzer.
+
+/** A generated module and its serialized synthetic profile. */
+struct ProfileCorpus
+{
+    ir::Module module;
+    std::string text;
+};
+
+const ProfileCorpus&
+profileCorpus()
+{
+    static const ProfileCorpus corpus = [] {
+        scale::ScaleConfig cfg;
+        cfg.target_insts = 10000;
+        cfg.seed = 42;
+        ProfileCorpus c{scale::buildScaleModule(cfg), ""};
+        c.text = profile::serializeProfile(c.module,
+                                           scale::synthesizeProfile(c.module));
+        return c;
+    }();
+    return corpus;
+}
+
+/** Apply one byte-level mutation: bit flip, insert, delete, truncate. */
+void
+mutateProfile(std::string& text, Rng& rng, const std::string& name)
+{
+    // Inserted tokens the format cares about, beside random bytes.
+    static const char* const kTokens[] = {
+        "\n", " ", "\t", "D ", "I ", "F ", "X ", "-", "+", "0", "9", "-1",
+        "18446744073709551616", "99999999999999999999",
+        "pibe-profile v1\n", "\n\n",
+    };
+    if (text.empty()) {
+        text = kTokens[rng.below(std::size(kTokens))];
+        return;
+    }
+    const size_t at = rng.below(text.size());
+    switch (rng.below(6)) {
+      case 0:
+        text[at] = static_cast<char>(text[at] ^ (1u << rng.below(8)));
+        break;
+      case 1:
+        text.insert(at, 1, static_cast<char>(rng.below(256)));
+        break;
+      case 2:
+        text.insert(at, kTokens[rng.below(std::size(kTokens))]);
+        break;
+      case 3:
+        // A name the module knows, where a count or a site belongs.
+        text.insert(at, name);
+        break;
+      case 4:
+        text.erase(at, 1 + rng.below(8));
+        break;
+      default: {
+        // Truncate, half the time just after a line.
+        const size_t eol = text.find('\n', at);
+        text.resize(rng.below(2) == 0 && eol != std::string::npos ? eol + 1
+                                                                 : at);
+        break;
+      }
+    }
+}
+
+/** Silences warn() (the reader warns on every dropped name). */
+struct QuietLog
+{
+    LogLevel saved = logLevel();
+    QuietLog() { setLogLevel(LogLevel::kQuiet); }
+    ~QuietLog() { setLogLevel(saved); }
+};
+
+/**
+ * Lift `iterations` mutants of the corpus profile. Every mutant must
+ * come back as a profile or a "bad profile" error, and every profile
+ * must serialize to a fixed point of lift -> serialize.
+ */
+void
+fuzzProfileReader(uint64_t seed, size_t iterations)
+{
+    const ProfileCorpus& corpus = profileCorpus();
+    const ir::Module& m = corpus.module;
+    QuietLog quiet;
+    Rng rng(seed);
+    size_t lifted = 0;
+    for (size_t i = 0; i < iterations; ++i) {
+        std::string text = corpus.text;
+        const uint64_t mutations = rng.below(4) == 0 ? 2 + rng.below(3) : 1;
+        for (uint64_t k = 0; k < mutations; ++k)
+            mutateProfile(text, rng,
+                          m.func(rng.below(m.numFunctions())).name);
+        const profile::LiftResult r = profile::tryLiftProfile(m, text);
+        if (!r.profile) {
+            ASSERT_EQ(r.error.rfind("bad profile", 0), 0u)
+                << "mutant " << i << ": " << r.error;
+            continue;
+        }
+        ++lifted;
+        const std::string once = profile::serializeProfile(m, *r.profile);
+        const profile::LiftResult again = profile::tryLiftProfile(m, once);
+        ASSERT_TRUE(again.profile) << "mutant " << i << ": " << again.error;
+        EXPECT_EQ(again.dropped, 0u) << "mutant " << i;
+        ASSERT_EQ(profile::serializeProfile(m, *again.profile), once)
+            << "mutant " << i;
+    }
+    // Both outcomes must be exercised, or the fuzzer tests nothing.
+    EXPECT_GT(lifted, iterations / 20);
+    EXPECT_LT(lifted, iterations - iterations / 20);
+}
+
+TEST(ProfileFuzz, MutantsLiftOrFailCleanly)
+{
+    fuzzProfileReader(1, 2000);
+}
+
+// The long leg (CI runs it under ASan/UBSan with
+// --gtest_also_run_disabled_tests).
+TEST(ProfileFuzz, DISABLED_LongLeg)
+{
+    fuzzProfileReader(2, 100000);
 }
 
 } // namespace

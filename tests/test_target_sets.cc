@@ -3,15 +3,20 @@
  * Tests for the interprocedural target-set analysis
  * (check/target_sets.h): constraint rules (op-table seeding, copies,
  * taint, globals, call arg/ret), completeness semantics, the
- * incremental invalidation contract, the verify.targets /
- * coverage.targets checkers (including the seeded out-of-set-promotion
- * bug they must catch), the surface report, a clean total-promotion
- * build of a genkernel-scale module, and golden digests of the solved
- * analysis on random, generated and adversarial copy-graph modules.
+ * incremental invalidation contract (also with summaries extracted on
+ * helper threads), wiring-time sends of icall edges, the
+ * verify.targets / coverage.targets checkers (including the seeded
+ * out-of-set-promotion bug they must catch), the surface report, a
+ * clean total-promotion build of a genkernel-scale module, and golden
+ * digests of the solved analysis on random, generated and adversarial
+ * copy-graph modules.
  */
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <sstream>
 #include <utility>
 
 #include "check/analysis_manager.h"
@@ -22,6 +27,7 @@
 #include "opt/icp.h"
 #include "pibe/pipeline.h"
 #include "runtime/digest.h"
+#include "runtime/thread_pool.h"
 #include "scale/scale_builder.h"
 #include "scale/synthetic_profile.h"
 #include "support/rng.h"
@@ -467,6 +473,107 @@ TEST(TargetSets, UnchangedSummariesKeepTheFixpoint)
     EXPECT_EQ(tsa.solves(), 5u);
 }
 
+/** A generated module of at least two extraction helpers' worth of
+ *  instructions, so a solve extracts summaries on helper threads. */
+Module
+threadedModule(uint64_t seed)
+{
+    scale::ScaleConfig cfg;
+    cfg.target_insts = 140000;
+    cfg.seed = seed;
+    Module m = scale::buildScaleModule(cfg);
+    size_t insts = 0;
+    for (const ir::Function& f : m.functions())
+        insts += f.instructionCount();
+    EXPECT_GE(insts, 2 * runtime::kInstsPerHelper);
+    return m;
+}
+
+// The keep decision compares every re-extracted summary with the one
+// it replaces, however the sweep's chunks were scheduled.
+TEST(TargetSets, KeepDecisionComparesEverySummary)
+{
+    Module m = threadedModule(7);
+    TargetSetAnalysis tsa(m);
+    tsa.ensureSolved();
+    const size_t nf = m.numFunctions();
+    auto invalidateEvery = [&] {
+        for (ir::FuncId f = 0; f < nf; ++f)
+            tsa.invalidateFunction(f);
+    };
+
+    invalidateEvery();
+    tsa.ensureSolved();
+    EXPECT_EQ(tsa.solutionsKept(), 1u);
+    EXPECT_EQ(tsa.summariesExtracted(), 2 * nf);
+
+    // A new function-address seed in one function mid-module.
+    ir::FuncId body = static_cast<ir::FuncId>(nf / 2);
+    while (m.func(body).isDeclaration())
+        ++body;
+    ir::Function& fn = m.func(body);
+    ir::Instruction seed;
+    seed.op = ir::Opcode::kFuncAddr;
+    seed.dst = fn.num_regs++;
+    seed.callee = body;
+    fn.blocks[0].insts.insert(fn.blocks[0].insts.begin(), seed);
+    invalidateEvery();
+    expectSameAsFresh(tsa, m, "one function changed");
+    EXPECT_EQ(tsa.solutionsKept(), 1u);
+    EXPECT_EQ(tsa.solves(), 3u);
+}
+
+// The site's pointer reaches `target` only at the end of a long copy
+// chain, after the nodes that feed the wired edges (the argument
+// register and ret(target)) have been popped: the edges must send
+// when they are wired. Either function order puts one of the two
+// sources first.
+TEST(TargetSets, LateWiredEdgesStillFlow)
+{
+    for (const bool caller_first : {true, false}) {
+        SCOPED_TRACE(caller_first ? "caller first" : "target first");
+        Module m;
+        const ir::FuncId returned = m.addFunction("returned", 0);
+        const ir::FuncId passed = m.addFunction("passed", 0);
+        ir::FuncId caller = ir::kInvalidFunc;
+        ir::FuncId target = ir::kInvalidFunc;
+        if (caller_first) {
+            caller = m.addFunction("caller", 0);
+            target = m.addFunction("target", 1);
+        } else {
+            target = m.addFunction("target", 1);
+            caller = m.addFunction("caller", 0);
+        }
+        for (const ir::FuncId leaf : {returned, passed}) {
+            FunctionBuilder b(m, leaf);
+            b.ret(b.constI(0));
+        }
+        {
+            FunctionBuilder b(m, target);
+            b.sink(b.param(0));
+            b.ret(b.funcAddr(returned));
+        }
+        ir::Reg dst = ir::kNoReg;
+        {
+            FunctionBuilder b(m, caller);
+            ir::Reg ptr = b.funcAddr(target);
+            for (int i = 0; i < 60; ++i)
+                ptr = b.move(ptr);
+            dst = b.icall(ptr, {b.funcAddr(passed)});
+            b.ret(dst);
+        }
+        ASSERT_TRUE(test::verifies(m));
+
+        TargetSetAnalysis tsa(m);
+        const TargetSet got = tsa.regTargets(caller, dst);
+        EXPECT_FALSE(got.incomplete);
+        EXPECT_EQ(got.targets, std::vector<ir::FuncId>{returned});
+        const TargetSet param = tsa.regTargets(target, 0);
+        EXPECT_FALSE(param.incomplete);
+        EXPECT_EQ(param.targets, std::vector<ir::FuncId>{passed});
+    }
+}
+
 TEST(TargetSets, AnalysisManagerInvalidationTracksMutation)
 {
     TableModule t = makeTableModule();
@@ -784,6 +891,81 @@ TEST(TargetSetsGolden, DeepChainThroughFrame)
     }
     ASSERT_TRUE(test::verifies(m));
     expectGolden(m, "2dc52e2f8958a6254d2f95ae113bf8b0");
+}
+
+/** Every field of every site, one line each. */
+std::string
+sitesText(TargetSetAnalysis& tsa)
+{
+    std::ostringstream os;
+    for (const auto& [sid, st] : tsa.sites()) {
+        os << sid << ' ' << st.func << ' ' << st.block << ' ' << st.index
+           << ' ' << st.ptr << ' ' << st.is_asm << ' ' << st.incomplete
+           << ':';
+        for (ir::FuncId t : st.targets)
+            os << ' ' << t;
+        os << '\n';
+    }
+    return os.str();
+}
+
+// A fork()ed child has no helper pool, so it extracts every summary on
+// the caller alone; the parent's solves recruit helpers. Both must
+// reach the same registers' sets and the same sites.
+TEST(TargetSetsGolden, ParallelExtractionMatchesForkedSolve)
+{
+    std::vector<Module> modules;
+    modules.push_back(threadedModule(7));
+    modules.push_back(threadedModule(13));
+    // Solved here first, so the helper pool exists and belongs to this
+    // process, not to the child.
+    std::vector<std::string> parent;
+    for (const Module& m : modules) {
+        TargetSetAnalysis tsa(m);
+        parent.push_back(solutionDigest(tsa) + "\n" + sitesText(tsa));
+        EXPECT_EQ(tsa.summariesExtracted(), m.numFunctions());
+    }
+    int fds[2];
+    ASSERT_EQ(pipe(fds), 0);
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        close(fds[0]);
+        for (const Module& m : modules) {
+            TargetSetAnalysis tsa(m);
+            const std::string out =
+                solutionDigest(tsa) + "\n" + sitesText(tsa);
+            const uint64_t size = out.size();
+            if (write(fds[1], &size, sizeof size) != sizeof size ||
+                write(fds[1], out.data(), out.size()) !=
+                    static_cast<ssize_t>(out.size()))
+                _exit(1);
+        }
+        _exit(0);
+    }
+    close(fds[1]);
+    auto readFully = [&](void* dst, size_t n) {
+        for (char* p = static_cast<char*>(dst); n > 0;) {
+            const ssize_t got = read(fds[0], p, n);
+            if (got <= 0)
+                return false;
+            p += got;
+            n -= static_cast<size_t>(got);
+        }
+        return true;
+    };
+    for (size_t i = 0; i < modules.size(); ++i) {
+        uint64_t size = 0;
+        std::string child;
+        ASSERT_TRUE(readFully(&size, sizeof size)) << "module " << i;
+        child.resize(size);
+        ASSERT_TRUE(readFully(child.data(), size)) << "module " << i;
+        EXPECT_EQ(parent[i], child) << "module " << i;
+    }
+    close(fds[0]);
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 } // namespace

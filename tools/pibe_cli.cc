@@ -785,7 +785,8 @@ cmdCheck(Args& args)
               << ",\"dynamic_edges\":" << ss.dynamic_edges
               << ",\"pops\":" << ss.pops << ",\"solve_ms\":"
               << std::fixed << std::setprecision(2) << ss.solve_ms
-              << "}";
+              << ",\"extract_ms\":" << ss.extract_ms
+              << ",\"extract_work_ms\":" << ss.extract_work_ms << "}";
         }
         t << "}";
         timing_json = t.str();
