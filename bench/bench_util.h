@@ -19,6 +19,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "pibe/engine.h"
 #include "pibe/experiment.h"
 #include "pibe/pipeline.h"
+#include "runtime/artifact_cache.h"
 #include "support/stats.h"
 #include "support/table.h"
 #include "workload/workload.h"
@@ -159,6 +161,15 @@ parseBenchArgs(int argc, char** argv)
                          "--cache-dir DIR, --no-cache, --metrics, "
                          "--metrics-json PATH)\n",
                          a.c_str());
+            std::exit(2);
+        }
+    }
+    // An unusable cache directory is a usage error here, not the
+    // exception runExperiments() would throw.
+    if (args.engine.use_cache && !args.engine.cache_dir.empty()) {
+        if (std::optional<std::string> error =
+                runtime::ArtifactCache().setDiskDir(args.engine.cache_dir)) {
+            std::fprintf(stderr, "%s\n", error->c_str());
             std::exit(2);
         }
     }

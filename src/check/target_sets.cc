@@ -15,9 +15,11 @@
  *
  * Icall argument/return edges are added dynamically as the pointer's
  * set grows, and send at once, because their source may already have
- * been popped for the last time. Because the system is monotone and
- * the worklist runs to the least fixpoint, the solution is independent
- * of processing order.
+ * been popped for the last time. Sites that share a representative
+ * pointer and an arity go through one call hub, so each target is
+ * wired once per hub rather than once per site. Because the system is
+ * monotone and the worklist runs to the least fixpoint, the solution
+ * is independent of processing order.
  */
 #include "check/target_sets.h"
 
@@ -27,6 +29,7 @@
 #include <numeric>
 #include <span>
 #include <sstream>
+#include <unordered_map>
 
 #include "harden/harden.h"
 #include "runtime/thread_pool.h"
@@ -40,6 +43,11 @@ using Clock = std::chrono::steady_clock;
 /** Functions per parallelFor chunk of summary extraction (the audit
  *  sweeps' chunk). */
 constexpr size_t kFuncsPerChunk = 16;
+
+/** Steps a site's pointer walks back to find its call hub's
+ *  representative. Any node on the walk is a correct representative,
+ *  so the bound trades only sharing for time. */
+constexpr uint32_t kMaxRepresentativeWalk = 64;
 
 double
 msSince(Clock::time_point start)
@@ -469,8 +477,15 @@ TargetSetAnalysis::solve()
     stats_.nodes = n;
     stats_.dynamic_edges = 0;
     stats_.pops = 0;
-    pts_.assign(n, nullptr);
-    incomplete_.assign(n, false);
+    // Call hubs take at most arity + 1 nodes per site, laid out past
+    // the n abstract locations and dropped before publishing.
+    size_t hub_bound = 0;
+    for (const FuncSummary& sum : summaries_)
+        for (const IcallRecord& rec : sum.icalls)
+            hub_bound += rec.args.size() + 1;
+    const size_t all_nodes = n + hub_bound;
+    pts_.assign(all_nodes, nullptr);
+    incomplete_.assign(all_nodes, false);
     sites_.clear();
     bad_slots_.clear();
 
@@ -478,10 +493,10 @@ TargetSetAnalysis::solve()
     // Dynamic edges by source: dynamic_list[node] indexes the source's
     // list in dynamic_edges, so a node without any costs four bytes.
     constexpr uint32_t kNoList = ~0u;
-    std::vector<uint32_t> dynamic_list(n, kNoList);
+    std::vector<uint32_t> dynamic_list(all_nodes, kNoList);
     std::vector<std::vector<uint32_t>> dynamic_edges;
     std::vector<uint32_t> worklist;
-    std::vector<bool> on_worklist(n, false);
+    std::vector<bool> on_worklist(all_nodes, false);
 
     auto push = [&](uint32_t node) {
         if (on_worklist[node])
@@ -644,11 +659,19 @@ TargetSetAnalysis::solve()
     }
     edges.allocate();
     taint_edges.allocate();
+    // The fill pass also records each node's static in-degree (a taint
+    // edge counts 2, saturating at 2) and its last copy source, which
+    // the call hubs below walk back along.
+    std::vector<uint8_t> inflow(n, 0);
+    std::vector<uint32_t> inflow_source(n);
     for (ir::FuncId f = 0; f < nf; ++f)
         visit(
             f,
             [&](uint32_t from, uint32_t to, bool taint) {
                 (taint ? taint_edges : edges).add(from, to);
+                inflow[to] = static_cast<uint8_t>(
+                    std::min(2, inflow[to] + (taint ? 2 : 1)));
+                inflow_source[to] = from;
             },
             [](const Constraint&, uint32_t) {});
     stats_.static_edges = static_cast<uint32_t>(edges.size());
@@ -657,37 +680,55 @@ TargetSetAnalysis::solve()
     taken.erase(std::unique(taken.begin(), taken.end()), taken.end());
     address_taken_ = std::move(taken);
 
-    // --- icall sites: dynamic edges as pts(ptr) grows ---
+    // --- icall sites, grouped into call hubs ---
     struct SiteState
     {
         ir::FuncId func;
         const IcallRecord* rec;
-        SetHandle wired; // Targets already wired.
-        bool incomplete_handled = false;
         bool bad_ptr = false;
     };
     std::vector<SiteState> states;
     for (ir::FuncId f = 0; f < nf; ++f) {
         const ir::Function& fn = module_.func(f);
-        for (const IcallRecord& rec : summaries_[f].icalls) {
-            SiteState st;
-            st.func = f;
-            st.rec = &rec;
-            st.bad_ptr = rec.ptr >= fn.num_regs;
-            states.push_back(std::move(st));
-        }
+        for (const IcallRecord& rec : summaries_[f].icalls)
+            states.push_back({f, &rec, rec.ptr >= fn.num_regs});
     }
-    // The sites that call through each pointer node.
-    Csr sites_by_node(n);
+    constexpr uint32_t kNoNode = ~0u;
+    auto dstNode = [&](const SiteState& st) {
+        const ir::Reg dst = st.rec->dst;
+        return dst != ir::kNoReg && dst < module_.func(st.func).num_regs
+                   ? regNode(st.func, dst)
+                   : kNoNode;
+    };
+
+    // A node is single-inflow when one static copy edge is all that
+    // can ever reach it: it has no other in-edge, no seed or
+    // incomplete bit, is no parameter of an address-taken function
+    // (dynamic argument edges and taintAddressTakenParams land there)
+    // and no icall result (dynamic return edges land there). At the
+    // fixpoint it holds exactly its source's set and bit. Pin the last
+    // two kinds; seeds show in pts_ and incomplete_ already.
+    for (ir::FuncId a : address_taken_) {
+        const ir::Function& fa = module_.func(a);
+        const uint32_t np = std::min(fa.num_params, fa.num_regs);
+        for (uint32_t p = 0; p < np; ++p)
+            inflow[regNode(a, p)] = 2;
+    }
     for (const SiteState& st : states)
-        if (!st.bad_ptr)
-            sites_by_node.count(regNode(st.func, st.rec->ptr));
-    sites_by_node.allocate();
-    for (uint32_t idx = 0; idx < states.size(); ++idx)
-        if (!states[idx].bad_ptr)
-            sites_by_node.add(regNode(states[idx].func,
-                                      states[idx].rec->ptr),
-                              idx);
+        if (dstNode(st) != kNoNode)
+            inflow[dstNode(st)] = 2;
+    // Walk a pointer back through single-inflow nodes. Every node on
+    // the walk reaches the same fixpoint, so stopping early is sound;
+    // the bound ends walks around a single-inflow cycle, whose nodes
+    // stay empty forever.
+    auto representative = [&](uint32_t node) {
+        for (uint32_t step = 0; step < kMaxRepresentativeWalk &&
+                                inflow[node] == 1 && !pts_[node] &&
+                                !incomplete_[node];
+             ++step)
+            node = inflow_source[node];
+        return node;
+    };
 
     // An icall through an unresolved pointer may invoke any
     // address-taken function: its parameters then hold unknown values.
@@ -716,51 +757,99 @@ TargetSetAnalysis::solve()
         send(from, to);
         ++stats_.dynamic_edges;
     };
-    auto processSite = [&](uint32_t idx) {
-        SiteState& st = states[idx];
-        const IcallRecord& rec = *st.rec;
-        const ir::Function& fn = module_.func(st.func);
-        uint32_t pnode = regNode(st.func, rec.ptr);
-        // Wire newly discovered targets. Hold the current set: wiring
-        // can grow pts(pnode) itself (self-referential icalls), which
-        // re-queues the node and re-runs this diff.
-        const SetHandle cur = pts_[pnode];
+
+    // Sites with one (representative, arity) share a hub: arity
+    // argument nodes, then one return node. Each site copies its
+    // arguments into the hub and the hub's return into its result;
+    // the hub alone is wired to the targets, so edges grow as
+    // hubs × targets, not sites × targets. The sends made here change
+    // only hub nodes (a return hub is still empty), and the taint of a
+    // bad pointer lands on pinned parameters, so each later walk still
+    // sees the seeded state.
+    struct Hub
+    {
+        uint32_t rep;   // Representative pointer node.
+        uint32_t arity;
+        uint32_t base;  // Argument i at base + i, return at base + arity.
+        bool has_ret = false;
+        SetHandle wired = nullptr; // Targets already wired.
+        bool incomplete_handled = false;
+    };
+    std::vector<Hub> hubs;
+    std::unordered_map<uint64_t, uint32_t> hub_of;
+    uint32_t next_hub_node = n;
+    for (const SiteState& st : states) {
+        if (st.bad_ptr) {
+            // An out-of-range pointer register is permanently
+            // unresolved (the verifier reports the broken function).
+            taintAddressTakenParams();
+            continue;
+        }
+        const uint32_t arity = static_cast<uint32_t>(st.rec->args.size());
+        const uint32_t rep = representative(regNode(st.func, st.rec->ptr));
+        auto [it, added] = hub_of.try_emplace(
+            (static_cast<uint64_t>(rep) << 32) | arity,
+            static_cast<uint32_t>(hubs.size()));
+        if (added) {
+            hubs.push_back({rep, arity, next_hub_node});
+            next_hub_node += arity + 1;
+        }
+        Hub& hub = hubs[it->second];
+        const uint32_t regs = module_.func(st.func).num_regs;
+        for (uint32_t i = 0; i < arity; ++i)
+            if (st.rec->args[i] < regs)
+                addDynamicEdge(regNode(st.func, st.rec->args[i]),
+                               hub.base + i);
+        if (dstNode(st) != kNoNode) {
+            hub.has_ret = true;
+            addDynamicEdge(hub.base + arity, dstNode(st));
+        }
+    }
+    inflow = {};
+    inflow_source = {};
+    stats_.call_hubs = static_cast<uint32_t>(hubs.size());
+    // The hubs that call through each representative node.
+    Csr hubs_by_node(n);
+    for (const Hub& hub : hubs)
+        hubs_by_node.count(hub.rep);
+    hubs_by_node.allocate();
+    for (uint32_t h = 0; h < hubs.size(); ++h)
+        hubs_by_node.add(hubs[h].rep, h);
+
+    // Wire the hub to the targets its representative gained since the
+    // last visit: argument i to parameter i of each arity-matched body,
+    // and every target's return to the hub's. Hold the current set:
+    // wiring can grow pts(rep) itself (self-referential icalls), which
+    // re-queues the node and re-runs this diff.
+    auto processHub = [&](uint32_t h) {
+        Hub& hub = hubs[h];
+        const uint32_t ret_hub = hub.base + hub.arity;
+        const SetHandle cur = pts_[hub.rep];
         const std::vector<ir::FuncId>& now = elements(cur);
-        const std::vector<ir::FuncId>& wired = elements(st.wired);
+        const std::vector<ir::FuncId>& wired = elements(hub.wired);
         if (now.size() != wired.size()) {
             std::vector<ir::FuncId> fresh;
             std::set_difference(now.begin(), now.end(), wired.begin(),
                                 wired.end(), std::back_inserter(fresh));
-            st.wired = cur;
+            hub.wired = cur;
             for (ir::FuncId t : fresh) {
                 const ir::Function& tf = module_.func(t);
-                if (!tf.isDeclaration() &&
-                    tf.num_params == rec.args.size()) {
-                    uint32_t np = std::min(tf.num_params, tf.num_regs);
-                    for (uint32_t ai = 0; ai < np; ++ai)
-                        if (rec.args[ai] < fn.num_regs)
-                            addDynamicEdge(
-                                regNode(st.func, rec.args[ai]),
-                                regNode(t, ai));
+                if (!tf.isDeclaration() && tf.num_params == hub.arity) {
+                    const uint32_t np = std::min(tf.num_params, tf.num_regs);
+                    for (uint32_t i = 0; i < np; ++i)
+                        addDynamicEdge(hub.base + i, regNode(t, i));
                 }
-                if (rec.dst != ir::kNoReg && rec.dst < fn.num_regs)
-                    addDynamicEdge(retNode(t), regNode(st.func, rec.dst));
+                if (hub.has_ret)
+                    addDynamicEdge(retNode(t), ret_hub);
             }
         }
-        if (incomplete_[pnode] && !st.incomplete_handled) {
-            st.incomplete_handled = true;
-            if (rec.dst != ir::kNoReg && rec.dst < fn.num_regs)
-                if (markIncomplete(regNode(st.func, rec.dst)))
-                    push(regNode(st.func, rec.dst));
+        if (incomplete_[hub.rep] && !hub.incomplete_handled) {
+            hub.incomplete_handled = true;
+            if (hub.has_ret && markIncomplete(ret_hub))
+                push(ret_hub);
             taintAddressTakenParams();
         }
     };
-
-    // Sites whose pointer register is out of range are permanently
-    // unresolved (the verifier reports the broken function).
-    for (const SiteState& st : states)
-        if (st.bad_ptr)
-            taintAddressTakenParams();
 
     // --- fixpoint ---
     // A node that holds nothing sends nothing, so only the seeded
@@ -773,16 +862,18 @@ TargetSetAnalysis::solve()
         worklist.pop_back();
         on_worklist[nd] = false;
         ++stats_.pops;
-        for (uint32_t to : edges.out(nd))
-            send(nd, to);
         if (dynamic_list[nd] != kNoList)
             for (uint32_t to : dynamic_edges[dynamic_list[nd]])
                 send(nd, to);
+        if (nd >= n)
+            continue; // A hub node has only dynamic edges.
+        for (uint32_t to : edges.out(nd))
+            send(nd, to);
         for (uint32_t to : taint_edges.out(nd))
             if (markIncomplete(to))
                 push(to);
-        for (uint32_t sidx : sites_by_node.out(nd))
-            processSite(sidx);
+        for (uint32_t h : hubs_by_node.out(nd))
+            processHub(h);
     }
 
     // --- publish per-site results ---
@@ -790,9 +881,11 @@ TargetSetAnalysis::solve()
     // reuse its memory instead of growing the heap past it.
     edges = Csr();
     taint_edges = Csr();
-    sites_by_node = Csr();
+    hubs_by_node = Csr();
     dynamic_list = {};
     dynamic_edges = {};
+    pts_.resize(n);
+    incomplete_.resize(n);
     for (const SiteState& st : states) {
         const IcallRecord& rec = *st.rec;
         SiteTargets out;

@@ -57,6 +57,16 @@
  * handle to an immutable sorted set, so a set that flows along a copy
  * edge is shared, not copied; a union allocates only when neither
  * side covers the other.
+ *
+ * Icall sites share call hubs: sites whose pointers provably hold the
+ * same set (a chain of single-inflow copies back to one
+ * representative node) and that pass the same number of arguments
+ * copy their arguments into one hub and its result out, and only the
+ * hub is wired to the targets. Wiring then grows as hubs x targets,
+ * not sites x targets, and every set and bit is the one per-site
+ * wiring gives. SolverStats::dynamic_edges counts the site->hub and
+ * hub->target edges; SolverStats::nodes stays the count of abstract
+ * locations.
  */
 #ifndef PIBE_CHECK_TARGET_SETS_H_
 #define PIBE_CHECK_TARGET_SETS_H_
@@ -121,9 +131,13 @@ struct BadGlobalSlot
  *  previous fixpoint updates only the two extraction times. */
 struct SolverStats
 {
-    uint32_t nodes = 0;         ///< Abstract locations.
+    uint32_t nodes = 0;         ///< Abstract locations (no hub nodes).
     uint32_t static_edges = 0;  ///< Subset edges from summaries.
-    uint32_t dynamic_edges = 0; ///< Icall arg/ret edges wired in.
+    /** Icall edges wired in: site -> hub (arguments, result) and
+     *  hub -> target (parameters, returns). */
+    uint32_t dynamic_edges = 0;
+    /** Call hubs: sites grouped by (representative pointer, arity). */
+    uint32_t call_hubs = 0;
     uint64_t pops = 0;          ///< Worklist pops to fixpoint.
     /** Wall time after extraction: edges, fixpoint, publish. */
     double solve_ms = 0.0;

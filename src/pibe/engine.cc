@@ -284,15 +284,21 @@ kernelTextCached(const kernel::KernelConfig& cfg,
     return text;
 }
 
+ArtifactDigest
+ArtifactDigest::of(std::string_view text)
+{
+    return {runtime::Digest().add(text).hex()};
+}
+
 std::string
-profileTextCached(const std::string& kernel_text,
+profileTextCached(const ArtifactDigest& kernel_digest,
                   const ir::Module& kernel,
                   const kernel::KernelInfo& info, uint32_t base_iters,
                   runtime::ArtifactCache* cache,
                   profile::EdgeProfile* lifted)
 {
     runtime::Digest d;
-    d.add("pibe-profile-v1").add(kernel_text).add(base_iters);
+    d.add("pibe-profile-v2").add(kernel_digest.hex).add(base_iters);
     // A corrupt artifact is a miss: recompute and put over it.
     if (cache) {
         if (std::optional<std::string> text = cache->get(d.hex())) {
@@ -316,28 +322,48 @@ profileTextCached(const std::string& kernel_text,
 }
 
 std::string
-imageCacheKey(const std::string& kernel_text,
-              const std::string& profile_text, const OptConfig& opt,
+profileTextCached(const std::string& kernel_text,
+                  const ir::Module& kernel,
+                  const kernel::KernelInfo& info, uint32_t base_iters,
+                  runtime::ArtifactCache* cache,
+                  profile::EdgeProfile* lifted)
+{
+    return profileTextCached(ArtifactDigest::of(kernel_text), kernel, info,
+                             base_iters, cache, lifted);
+}
+
+std::string
+imageCacheKey(const ArtifactDigest& kernel_digest,
+              const ArtifactDigest& profile_digest, const OptConfig& opt,
               const harden::DefenseConfig& defense)
 {
     runtime::Digest d;
-    d.add("pibe-image-v1").add(kernel_text).add(profile_text);
+    d.add("pibe-image-v2").add(kernel_digest.hex).add(profile_digest.hex);
     hashOptConfig(d, opt);
     hashDefenseConfig(d, defense);
     return d.hex();
 }
 
 std::string
-imageTextCached(const std::string& kernel_text,
+imageCacheKey(const std::string& kernel_text,
+              const std::string& profile_text, const OptConfig& opt,
+              const harden::DefenseConfig& defense)
+{
+    return imageCacheKey(ArtifactDigest::of(kernel_text),
+                         ArtifactDigest::of(profile_text), opt, defense);
+}
+
+std::string
+imageTextCached(const ArtifactDigest& kernel_digest,
                 const ir::Module& kernel,
-                const std::string& profile_text,
+                const ArtifactDigest& profile_digest,
                 const profile::EdgeProfile& profile,
                 const OptConfig& opt,
                 const harden::DefenseConfig& defense,
                 runtime::ArtifactCache* cache)
 {
     const std::string key =
-        imageCacheKey(kernel_text, profile_text, opt, defense);
+        imageCacheKey(kernel_digest, profile_digest, opt, defense);
     if (cache) {
         if (std::optional<std::string> text = cache->get(key))
             return *text;
@@ -351,8 +377,22 @@ imageTextCached(const std::string& kernel_text,
     return text;
 }
 
+std::string
+imageTextCached(const std::string& kernel_text,
+                const ir::Module& kernel,
+                const std::string& profile_text,
+                const profile::EdgeProfile& profile,
+                const OptConfig& opt,
+                const harden::DefenseConfig& defense,
+                runtime::ArtifactCache* cache)
+{
+    return imageTextCached(ArtifactDigest::of(kernel_text), kernel,
+                           ArtifactDigest::of(profile_text), profile, opt,
+                           defense, cache);
+}
+
 Measurement
-measureWorkloadCached(const std::string& image_text,
+measureWorkloadCached(const ArtifactDigest& image_digest,
                       std::shared_ptr<const uarch::DecodedModule> decoded,
                       const kernel::KernelInfo& info,
                       const std::string& workload_name,
@@ -360,12 +400,12 @@ measureWorkloadCached(const std::string& image_text,
                       runtime::ArtifactCache* cache)
 {
     runtime::Digest d;
-    // v2: measurements run on the pre-decoded stream; its format
-    // version invalidates cached results if the encoding ever changes
-    // observable stats.
-    d.add("pibe-measure-v2")
+    // v3: keyed by the image's content digest. The decoded stream's
+    // format version invalidates cached results if the encoding ever
+    // changes observable stats.
+    d.add("pibe-measure-v3")
         .add(uarch::DecodedModule::kFormatVersion)
-        .add(image_text)
+        .add(image_digest.hex)
         .add(workload_name);
     hashMeasureConfig(d, config);
     // A corrupt artifact is a miss: recompute and put over it.
@@ -384,6 +424,19 @@ measureWorkloadCached(const std::string& image_text,
     return m;
 }
 
+Measurement
+measureWorkloadCached(const std::string& image_text,
+                      std::shared_ptr<const uarch::DecodedModule> decoded,
+                      const kernel::KernelInfo& info,
+                      const std::string& workload_name,
+                      const MeasureConfig& config,
+                      runtime::ArtifactCache* cache)
+{
+    return measureWorkloadCached(ArtifactDigest::of(image_text),
+                                 std::move(decoded), info, workload_name,
+                                 config, cache);
+}
+
 // ---------------------------------------------------------------------
 // The engine.
 
@@ -393,24 +446,29 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
     const Clock::time_point t0 = Clock::now();
 
     runtime::ArtifactCache cache;
-    if (opts.use_cache && !opts.cache_dir.empty())
-        cache.setDiskDir(opts.cache_dir);
+    if (opts.use_cache && !opts.cache_dir.empty()) {
+        if (std::optional<std::string> error =
+                cache.setDiskDir(opts.cache_dir))
+            throw std::runtime_error(*error);
+    }
     runtime::ArtifactCache* cachep = opts.use_cache ? &cache : nullptr;
 
     // Shared pipeline state. Each field is written by exactly one job
     // and read only by its dependents (the graph publishes writes).
+    // Each artifact text is hashed once, in the job that makes it; the
+    // keys of everything derived from it chain that digest.
     struct Shared
     {
-        std::string kernel_text;
+        ArtifactDigest kernel_digest;
         std::unique_ptr<ir::Module> kernel;
         kernel::KernelInfo info;
-        std::string profile_text;
+        ArtifactDigest profile_digest;
         profile::EdgeProfile profile;
     } shared;
 
     struct BuiltImage
     {
-        std::string text;
+        ArtifactDigest digest;
         std::unique_ptr<ir::Module> module;
         kernel::KernelInfo info;
         /** Decoded once in the image job, shared by every measurement
@@ -444,18 +502,19 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
         "kernel", [&](const runtime::JobContext&) {
             // Always run from the parsed canonical text so cache hits
             // and misses execute the exact same module.
-            shared.kernel_text = kernelTextCached(plan.kernel, cachep);
-            shared.kernel = std::make_unique<ir::Module>(
-                ir::parseModule(shared.kernel_text));
+            const std::string text = kernelTextCached(plan.kernel, cachep);
+            shared.kernel_digest = ArtifactDigest::of(text);
+            shared.kernel =
+                std::make_unique<ir::Module>(ir::parseModule(text));
             shared.info = kernel::kernelInfoFromModule(*shared.kernel);
         });
 
     const runtime::JobId profile_job = graph.add(
         "profile",
         [&](const runtime::JobContext&) {
-            shared.profile_text = profileTextCached(
-                shared.kernel_text, *shared.kernel, shared.info,
-                plan.profile_base_iters, cachep, &shared.profile);
+            shared.profile_digest = ArtifactDigest::of(profileTextCached(
+                shared.kernel_digest, *shared.kernel, shared.info,
+                plan.profile_base_iters, cachep, &shared.profile));
         },
         {kernel_job});
 
@@ -465,12 +524,13 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
             "image:" + spec.name,
             [&, spec, slot = &images[spec.name]](
                 const runtime::JobContext&) {
-                slot->text = imageTextCached(
-                    shared.kernel_text, *shared.kernel,
-                    shared.profile_text, shared.profile, spec.opt,
+                const std::string text = imageTextCached(
+                    shared.kernel_digest, *shared.kernel,
+                    shared.profile_digest, shared.profile, spec.opt,
                     spec.defense, cachep);
-                slot->module = std::make_unique<ir::Module>(
-                    ir::parseModule(slot->text));
+                slot->digest = ArtifactDigest::of(text);
+                slot->module =
+                    std::make_unique<ir::Module>(ir::parseModule(text));
                 slot->info =
                     kernel::kernelInfoFromModule(*slot->module);
                 slot->decoded =
@@ -487,7 +547,7 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
              out = &results.measurements.at(run.image).at(run.workload)](
                 const runtime::JobContext&) {
                 *out = measureWorkloadCached(
-                    img->text, img->decoded, img->info, run.workload,
+                    img->digest, img->decoded, img->info, run.workload,
                     plan.measure, opts.use_cache ? &cache : nullptr);
             },
             {image_jobs.at(run.image)});

@@ -27,6 +27,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harden/harden.h"
@@ -107,8 +108,9 @@ struct ExperimentResults
 
 /**
  * Execute `plan` on a pool of `opts.jobs` workers. Parallel results
- * are bit-identical to `jobs = 1`. Rethrows the first job's exception
- * (e.g. an image build that failed its audit).
+ * are bit-identical to `jobs = 1`. Throws std::runtime_error if
+ * `opts.cache_dir` cannot be used, and rethrows the first job's
+ * exception (e.g. an image build that failed its audit).
  */
 ExperimentResults runExperiments(const ExperimentPlan& plan,
                                  const EngineOptions& opts = {});
@@ -125,14 +127,43 @@ std::string kernelTextCached(const kernel::KernelConfig& cfg,
                              runtime::ArtifactCache* cache);
 
 /**
- * Canonical serialized LMBench training profile for `kernel` (which
- * must be the parse of `kernel_text` — the text is the cache key, the
- * module is the execution input). A cached artifact that does not
- * lift onto `kernel` is a miss: it is counted in CacheStats::corrupt,
- * and the profile is recomputed and put over it. When `lifted` is
- * non-null it receives the text lifted onto `kernel`, the lift that
- * checked a cached artifact, so a fetch lifts the profile once.
+ * The content digest of one artifact text: runtime::Digest over the
+ * length-prefixed text, as 32 hex chars. Each text is hashed once, and
+ * the key of every artifact derived from it chains the digest instead
+ * of re-hashing the text:
+ *
+ *   pibe-profile-v2  = (kernel digest, base iters)
+ *   pibe-image-v2    = (kernel digest, profile digest, opt, defense)
+ *   pibe-measure-v3  = (decoded format version, image digest,
+ *                       workload, MeasureConfig)
+ *
+ * Each staged entry point below takes either the digests or the texts;
+ * a text overload digests its texts and delegates, so both derive the
+ * same key.
  */
+struct ArtifactDigest
+{
+    std::string hex;
+
+    static ArtifactDigest of(std::string_view text);
+};
+
+/**
+ * Canonical serialized LMBench training profile for `kernel` (which
+ * must be the parse of the text `kernel_digest` digests — the digest
+ * keys the cache, the module is the execution input). A cached
+ * artifact that does not lift onto `kernel` is a miss: it is counted
+ * in CacheStats::corrupt, and the profile is recomputed and put over
+ * it. When `lifted` is non-null it receives the text lifted onto
+ * `kernel`, the lift that checked a cached artifact, so a fetch lifts
+ * the profile once.
+ */
+std::string profileTextCached(const ArtifactDigest& kernel_digest,
+                              const ir::Module& kernel,
+                              const kernel::KernelInfo& info,
+                              uint32_t base_iters,
+                              runtime::ArtifactCache* cache,
+                              profile::EdgeProfile* lifted = nullptr);
 std::string profileTextCached(const std::string& kernel_text,
                               const ir::Module& kernel,
                               const kernel::KernelInfo& info,
@@ -141,6 +172,10 @@ std::string profileTextCached(const std::string& kernel_text,
                               profile::EdgeProfile* lifted = nullptr);
 
 /** Cache key of the production image for one (opt, defense) point. */
+std::string imageCacheKey(const ArtifactDigest& kernel_digest,
+                          const ArtifactDigest& profile_digest,
+                          const OptConfig& opt,
+                          const harden::DefenseConfig& defense);
 std::string imageCacheKey(const std::string& kernel_text,
                           const std::string& profile_text,
                           const OptConfig& opt,
@@ -148,11 +183,18 @@ std::string imageCacheKey(const std::string& kernel_text,
 
 /**
  * Canonical production-image text for one (opt, defense) point.
- * `kernel`/`profile` must be the parses of the two texts. A build that
- * fails its audit (tryBuildImage's error) is thrown as
+ * `kernel`/`profile` must be the parses of the two digested texts. A
+ * build that fails its audit (tryBuildImage's error) is thrown as
  * std::runtime_error, which a job graph carries to its caller (serve
  * answers it with an error response).
  */
+std::string imageTextCached(const ArtifactDigest& kernel_digest,
+                            const ir::Module& kernel,
+                            const ArtifactDigest& profile_digest,
+                            const profile::EdgeProfile& profile,
+                            const OptConfig& opt,
+                            const harden::DefenseConfig& defense,
+                            runtime::ArtifactCache* cache);
 std::string imageTextCached(const std::string& kernel_text,
                             const ir::Module& kernel,
                             const std::string& profile_text,
@@ -162,17 +204,24 @@ std::string imageTextCached(const std::string& kernel_text,
                             runtime::ArtifactCache* cache);
 
 /**
- * One cached measurement. Key = (canonical image text, decoded-stream
- * format version, workload name, MeasureConfig incl. cost params);
- * value = the serialized Measurement, doubles stored as bit patterns
- * so a hit reproduces the computed result exactly. `decoded` is the
- * pre-decoded image (decode once, pass to every measurement of the
- * same image). `workload_name` is an LMBench test name or "nginx" /
- * "apache" / "dbench". `cache` may be null (no memoization). A cached
- * artifact that does not parse is a miss: it is counted in
- * CacheStats::corrupt, and the measurement is recomputed and put over
- * it. Shared by runExperiments() and `pibe measure --jobs`.
+ * One cached measurement. Key = (decoded-stream format version, image
+ * digest, workload name, MeasureConfig incl. cost params); value = the
+ * serialized Measurement, doubles stored as bit patterns so a hit
+ * reproduces the computed result exactly. `decoded` is the pre-decoded
+ * image (decode once, pass to every measurement of the same image).
+ * `workload_name` is an LMBench test name or "nginx" / "apache" /
+ * "dbench". `cache` may be null (no memoization). A cached artifact
+ * that does not parse is a miss: it is counted in CacheStats::corrupt,
+ * and the measurement is recomputed and put over it. Shared by
+ * runExperiments() and `pibe measure --jobs`.
  */
+Measurement
+measureWorkloadCached(const ArtifactDigest& image_digest,
+                      std::shared_ptr<const uarch::DecodedModule> decoded,
+                      const kernel::KernelInfo& info,
+                      const std::string& workload_name,
+                      const MeasureConfig& config,
+                      runtime::ArtifactCache* cache);
 Measurement
 measureWorkloadCached(const std::string& image_text,
                       std::shared_ptr<const uarch::DecodedModule> decoded,

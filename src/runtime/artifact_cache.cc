@@ -85,18 +85,19 @@ scanDiskBytes(const std::string& dir)
 
 } // namespace
 
-void
+std::optional<std::string>
 ArtifactCache::setDiskDir(const std::string& dir)
 {
     std::error_code ec;
     fs::create_directories(dir, ec);
     if (ec)
-        PIBE_FATAL("cannot create cache directory ", dir, ": ",
-                   ec.message());
+        return "cannot create cache directory " + dir + ": " +
+               ec.message();
     const uint64_t bytes = scanDiskBytes(dir);
     std::lock_guard<std::mutex> lock(mu_);
     disk_dir_ = dir;
     stats_.disk_bytes = bytes;
+    return std::nullopt;
 }
 
 std::string

@@ -87,10 +87,11 @@ class ArtifactCache
 
     /**
      * Enable the disk tier rooted at `dir` (created if missing) and
-     * take an initial size estimate. Fatal if the directory cannot be
-     * created.
+     * take an initial size estimate.
+     * @return The error if the directory cannot be created (the disk
+     *         tier then stays off), nullopt on success.
      */
-    void setDiskDir(const std::string& dir);
+    std::optional<std::string> setDiskDir(const std::string& dir);
 
     /** Default on-disk location: $HOME/.cache/pibe-artifacts. */
     static std::string defaultDiskDir();

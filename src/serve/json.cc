@@ -176,7 +176,10 @@ class Parser
         char* end = nullptr;
         if (integral) {
             const long long v = std::strtoll(token.c_str(), &end, 10);
-            if (errno == 0 && end && *end == '\0')
+            // "-0" stays a double: an integer zero would drop the sign
+            // that dump() wrote for -0.0.
+            if (errno == 0 && end && *end == '\0' &&
+                (v != 0 || token[0] != '-'))
                 return Json(static_cast<int64_t>(v));
             // fall through to double on overflow
         }

@@ -272,9 +272,12 @@ verifyInProcess(const LoadgenOptions& opts, Client& client,
     const ir::Module kernel = ir::parseModule(kernel_text);
     const kernel::KernelInfo info =
         kernel::kernelInfoFromModule(kernel);
+    const core::ArtifactDigest kernel_digest =
+        core::ArtifactDigest::of(kernel_text);
     profile::EdgeProfile profile;
-    const std::string profile_text = core::profileTextCached(
-        kernel_text, kernel, info, profile_iters, &cache, &profile);
+    const core::ArtifactDigest profile_digest =
+        core::ArtifactDigest::of(core::profileTextCached(
+            kernel_digest, kernel, info, profile_iters, &cache, &profile));
 
     uint64_t mismatches = 0;
     uint32_t checked = 0;
@@ -300,7 +303,7 @@ verifyInProcess(const LoadgenOptions& opts, Client& client,
         if (!defense)
             continue;
         const std::string image_text = core::imageTextCached(
-            kernel_text, kernel, profile_text, profile, opt, *defense,
+            kernel_digest, kernel, profile_digest, profile, opt, *defense,
             &cache);
         const ir::Module image = ir::parseModule(image_text);
         const kernel::KernelInfo image_info =

@@ -211,7 +211,7 @@ Server::Server(ServeOptions opts)
     PIBE_ASSERT(check::severityFromName(fail_on_).has_value(),
                 "serve: unknown fail-on severity '", fail_on_, "'");
     if (!opts_.cache_dir.empty())
-        cache_.setDiskDir(opts_.cache_dir);
+        cache_error_ = cache_.setDiskDir(opts_.cache_dir);
     if (opts_.cache_budget != 0)
         cache_.setDiskBudget(opts_.cache_budget);
     if (opts_.mem_budget != 0)
@@ -310,19 +310,20 @@ Server::context()
         runtime::JobGraph graph;
         const runtime::JobId kernel_job = graph.add(
             "serve:kernel", [&](const runtime::JobContext&) {
-                ctx->kernel_text =
+                const std::string text =
                     core::kernelTextCached(opts_.kernel, &cache_);
-                ctx->kernel =
-                    parsedOrThrow(ctx->kernel_text, "kernel", cache_);
+                ctx->kernel_digest = core::ArtifactDigest::of(text);
+                ctx->kernel = parsedOrThrow(text, "kernel", cache_);
                 ctx->info =
                     kernelInfoOrThrow(*ctx->kernel, "kernel", cache_);
             });
         graph.add(
             "serve:profile",
             [&](const runtime::JobContext&) {
-                ctx->profile_text = core::profileTextCached(
-                    ctx->kernel_text, *ctx->kernel, ctx->info,
-                    opts_.profile_base_iters, &cache_, &ctx->profile);
+                ctx->profile_digest =
+                    core::ArtifactDigest::of(core::profileTextCached(
+                        ctx->kernel_digest, *ctx->kernel, ctx->info,
+                        opts_.profile_base_iters, &cache_, &ctx->profile));
             },
             {kernel_job});
         graph.run(pool_);
@@ -399,7 +400,7 @@ Server::resolveImage(const Json& params, std::string* error,
 
     ContextPtr ctx = context();
     const std::string key = core::imageCacheKey(
-        ctx->kernel_text, ctx->profile_text, opt, defense);
+        ctx->kernel_digest, ctx->profile_digest, opt, defense);
     if (ImagePtr entry = imageFromRegistry(key))
         return entry;
 
@@ -414,9 +415,11 @@ Server::resolveImage(const Json& params, std::string* error,
             graph.add("serve:image:" + key,
                       [&](const runtime::JobContext&) {
                           built->text = core::imageTextCached(
-                              ctx->kernel_text, *ctx->kernel,
-                              ctx->profile_text, ctx->profile, opt,
+                              ctx->kernel_digest, *ctx->kernel,
+                              ctx->profile_digest, ctx->profile, opt,
                               defense, &cache_);
+                          built->digest =
+                              core::ArtifactDigest::of(built->text);
                           built->module = parsedOrThrow(
                               built->text, "image", cache_);
                           built->info = kernelInfoOrThrow(
@@ -491,7 +494,7 @@ Server::handleMeasure(const Json& params, bool* coalesced)
             graph.add("serve:measure:" + workload,
                       [&](const runtime::JobContext&) {
                           out = core::measureWorkloadCached(
-                              entry->text, entry->decoded,
+                              entry->digest, entry->decoded,
                               entry->info, workload, config, &cache_);
                       });
             graph.run(pool_);
@@ -669,6 +672,10 @@ Server::metricsSnapshot() const
 bool
 Server::start()
 {
+    if (cache_error_) {
+        warn("serve: ", *cache_error_);
+        return false;
+    }
     if (!opts_.socket_path.empty()) {
         const int fd = listenUnix(opts_.socket_path);
         if (fd >= 0) {

@@ -42,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -136,8 +137,9 @@ class Server
     Server& operator=(const Server&) = delete;
 
     /**
-     * Bind the configured listeners and start accepting. False if no
-     * listener could be bound.
+     * Bind the configured listeners and start accepting. False if the
+     * cache directory could not be created or no listener could be
+     * bound.
      */
     bool start();
 
@@ -168,21 +170,24 @@ class Server
     MetricsSnapshot metricsSnapshot() const;
 
   private:
-    /** Pipeline context: kernel + training profile, built once. */
+    /** Pipeline context: kernel + training profile, built once. Each
+     *  text is hashed once here; image keys chain the digests. */
     struct Context
     {
-        std::string kernel_text;
+        core::ArtifactDigest kernel_digest;
         std::unique_ptr<ir::Module> kernel;
         kernel::KernelInfo info;
-        std::string profile_text;
+        core::ArtifactDigest profile_digest;
         profile::EdgeProfile profile;
     };
 
-    /** One production image, decoded once, shared by measurements. */
+    /** One production image, decoded and hashed once, shared by
+     *  measurements. */
     struct ImageEntry
     {
         std::string key;
         std::string text;
+        core::ArtifactDigest digest;
         std::unique_ptr<ir::Module> module;
         kernel::KernelInfo info;
         std::shared_ptr<const uarch::DecodedModule> decoded;
@@ -224,6 +229,8 @@ class Server
 
     ServeOptions opts_;
     runtime::ArtifactCache cache_;
+    /** Why the disk tier could not be set up; start() then fails. */
+    std::optional<std::string> cache_error_;
     runtime::ThreadPool pool_;
     AdmissionGate gate_;
     ServeMetrics metrics_;

@@ -1,10 +1,23 @@
-/** @file Tests for the measurement harness (pibe::core::experiment). */
+/**
+ * @file
+ * Tests for the measurement harness (pibe::core::experiment) and the
+ * engine's artifact cache keys, which chain content digests.
+ */
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
+#include <stdexcept>
+
+#include "ir/printer.h"
 #include "kernel/kernel.h"
+#include "pibe/engine.h"
 #include "pibe/experiment.h"
 #include "pibe/pipeline.h"
+#include "profile/serialize.h"
 #include "tests/test_util.h"
+#include "uarch/decoded_module.h"
 #include "workload/workload.h"
 
 namespace pibe {
@@ -139,6 +152,99 @@ TEST_F(ExperimentTest, BuildImageDoesNotMutateInputModule)
     workload::KernelHandle handle(sim, image_->info);
     handle.boot();
     EXPECT_EQ(handle.syscall(kernel::sysno::kNull), 1);
+}
+
+// --- cache keys: chained content digests ----------------------------
+
+/** A small measurement config, so a cache miss is cheap. */
+core::MeasureConfig
+quickMeasure()
+{
+    core::MeasureConfig cfg;
+    cfg.warmup_iters = 2;
+    cfg.measure_iters = 5;
+    return cfg;
+}
+
+// Each text overload digests its texts and delegates, so a key derived
+// from texts equals the one chained from their digests: an artifact put
+// through one path is a hit through the other.
+TEST_F(ExperimentTest, TextKeysEqualDigestChainedKeys)
+{
+    const std::string kernel_text = ir::printModule(image_->module);
+    const auto kernel_digest = core::ArtifactDigest::of(kernel_text);
+    runtime::ArtifactCache cache;
+    const std::string profile_text = core::profileTextCached(
+        kernel_text, image_->module, image_->info, 2, &cache);
+    EXPECT_EQ(core::profileTextCached(kernel_digest, image_->module,
+                                      image_->info, 2, &cache),
+              profile_text);
+    EXPECT_EQ(cache.stats().hits(), 1u);
+
+    const auto profile_digest = core::ArtifactDigest::of(profile_text);
+    const core::OptConfig opt = core::OptConfig::icpOnly(0.99);
+    const harden::DefenseConfig defense = harden::DefenseConfig::all();
+    EXPECT_EQ(core::imageCacheKey(kernel_text, profile_text, opt, defense),
+              core::imageCacheKey(kernel_digest, profile_digest, opt,
+                                  defense));
+
+    const auto decoded =
+        std::make_shared<const uarch::DecodedModule>(image_->module);
+    const core::Measurement by_text = core::measureWorkloadCached(
+        kernel_text, decoded, image_->info, "null", quickMeasure(),
+        &cache);
+    const core::Measurement by_digest = core::measureWorkloadCached(
+        kernel_digest, decoded, image_->info, "null", quickMeasure(),
+        &cache);
+    EXPECT_EQ(cache.stats().hits(), 2u);
+    EXPECT_EQ(by_digest.stats.cycles, by_text.stats.cycles);
+}
+
+// The measurement key covers the image's content: one flipped byte of
+// the text is a different key, so a cache miss.
+TEST_F(ExperimentTest, FlippedImageByteChangesTheMeasureKey)
+{
+    std::string text = ir::printModule(image_->module);
+    const auto decoded =
+        std::make_shared<const uarch::DecodedModule>(image_->module);
+    runtime::ArtifactCache cache;
+    core::measureWorkloadCached(text, decoded, image_->info, "null",
+                                quickMeasure(), &cache);
+    core::measureWorkloadCached(text, decoded, image_->info, "null",
+                                quickMeasure(), &cache);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    text[text.size() / 2] ^= 1;
+    core::measureWorkloadCached(text, decoded, image_->info, "null",
+                                quickMeasure(), &cache);
+    EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+// A cache directory that cannot be created is an error value, and the
+// engine throws it rather than ending the process.
+TEST(EngineCacheDir, UnusableDirectoryIsAnError)
+{
+    namespace fs = std::filesystem;
+    const fs::path file = fs::temp_directory_path() /
+                          ("pibe_cache_file_" + std::to_string(::getpid()));
+    std::ofstream(file) << "not a directory";
+    const std::string dir = (file / "cache").string();
+
+    runtime::ArtifactCache cache;
+    const std::optional<std::string> error = cache.setDiskDir(dir);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_NE(error->find(dir), std::string::npos) << *error;
+
+    core::ExperimentPlan plan;
+    plan.kernel.num_drivers = 2;
+    core::EngineOptions opts;
+    opts.cache_dir = dir;
+    try {
+        core::runExperiments(plan, opts);
+        ADD_FAILURE() << "runExperiments accepted " << dir;
+    } catch (const std::runtime_error& e) {
+        EXPECT_EQ(e.what(), *error);
+    }
+    fs::remove(file);
 }
 
 } // namespace

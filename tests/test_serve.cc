@@ -35,6 +35,7 @@
 #include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "support/rng.h"
 
 namespace pibe {
 namespace {
@@ -114,6 +115,11 @@ TEST(ServeJson, DoublesAndIntegersRoundTripExactly)
     // Integers stay integers (no exponent, no fraction).
     EXPECT_NE(obj.dump().find("1772326887"), std::string::npos);
     EXPECT_EQ((*parsed)["i"].asInt(), 1772326887);
+    // Negative zero keeps its sign ("-0" is not the integer 0).
+    std::optional<Json> zero = Json::parse(Json(-0.0).dump());
+    ASSERT_TRUE(zero.has_value());
+    EXPECT_EQ(std::bit_cast<uint64_t>(zero->asDouble()),
+              std::bit_cast<uint64_t>(-0.0));
 }
 
 // ---------------------------------------------------------------------
@@ -177,6 +183,174 @@ TEST(ServeProtocol, EnvelopeHelpers)
     const Json err = serve::makeErrorResponse(7, "boom");
     EXPECT_FALSE(err["ok"].asBool(true));
     EXPECT_EQ(err["error"].asString(), "boom");
+}
+
+// ---------------------------------------------------------------------
+// JSON / frame fuzzer
+
+/** A request and a response holding every JSON value kind. */
+std::string
+jsonCorpus()
+{
+    Json params = Json::object();
+    params.set("workload", "read");
+    params.set("defense", "retpolines+lvi");
+    params.set("icp_budget", 0.99999);
+    params.set("inline_budget", static_cast<int64_t>(-42));
+    params.set("lax", true);
+    params.set("note", "tab\tquote\"slash\\ \xc3\xa9");
+    Json list = Json::array();
+    list.push(Json());
+    list.push(Json(false));
+    list.push(Json(1.5e-7));
+    list.push(Json::object());
+    params.set("list", std::move(list));
+    Json result = Json::object();
+    result.set("latency_bits", "4617315517961601024");
+    result.set("cycles", static_cast<int64_t>(1772326887));
+    return serve::makeRequest(7, "measure", std::move(params)).dump() +
+           "\n" + serve::makeResponse(7, std::move(result)).dump();
+}
+
+/** One random edit of `text`: a bit flip, an inserted byte or token,
+ *  a deletion, or a truncation. */
+void
+mutateJson(std::string& text, Rng& rng)
+{
+    static const char* const kTokens[] = {
+        "{", "}", "[", "]", "\"", "\\", "\\u", "\\ud800", ":", ",",
+        "null", "tru", "-", "1e999", "-0.0e+", "18446744073709551616",
+        "[[[[[[[[", "\"k\":", " \n\t",
+    };
+    if (text.empty()) {
+        text = kTokens[rng.below(std::size(kTokens))];
+        return;
+    }
+    const size_t at = rng.below(text.size());
+    switch (rng.below(5)) {
+      case 0:
+        text[at] = static_cast<char>(text[at] ^ (1u << rng.below(8)));
+        break;
+      case 1:
+        text.insert(at, 1, static_cast<char>(rng.below(256)));
+        break;
+      case 2:
+        text.insert(at, kTokens[rng.below(std::size(kTokens))]);
+        break;
+      case 3:
+        text.erase(at, 1 + rng.below(8));
+        break;
+      default:
+        text.resize(at);
+        break;
+    }
+}
+
+/** A length-prefixed frame of `payload`, as writeFrame() sends it. */
+std::string
+frameBytes(const std::string& payload)
+{
+    const auto len = static_cast<uint32_t>(payload.size());
+    std::string out;
+    for (int shift = 24; shift >= 0; shift -= 8)
+        out.push_back(static_cast<char>(len >> shift));
+    return out + payload;
+}
+
+/** readMessage() of raw `bytes` sent down a socketpair and closed. */
+std::optional<Json>
+readMessageOf(const std::string& bytes)
+{
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::thread writer([&] {
+        size_t sent = 0;
+        while (sent < bytes.size()) {
+            const ssize_t n = ::send(fds[0], bytes.data() + sent,
+                                     bytes.size() - sent, MSG_NOSIGNAL);
+            if (n <= 0)
+                break;
+            sent += static_cast<size_t>(n);
+        }
+        ::shutdown(fds[0], SHUT_WR);
+    });
+    std::optional<Json> got = serve::readMessage(fds[1]);
+    ::close(fds[1]); // Unblocks a writer the reader stopped draining.
+    writer.join();
+    ::close(fds[0]);
+    return got;
+}
+
+/**
+ * Decode `iterations` mutants of the corpus. Json::parse must return a
+ * value or nullopt, and a value must dump to a fixed point of
+ * parse -> dump. Every eighth mutant also goes through readMessage as a
+ * frame, half of them with the frame bytes (length prefix included)
+ * mutated too; an intact frame must decode exactly as Json::parse does.
+ */
+void
+fuzzJsonDecoder(uint64_t seed, size_t iterations)
+{
+    const std::string corpus = jsonCorpus();
+    ASSERT_TRUE(Json::parse(corpus.substr(0, corpus.find('\n'))));
+    Rng rng(seed);
+    size_t parsed = 0;
+    for (size_t i = 0; i < iterations; ++i) {
+        std::string text = corpus.substr(
+            rng.below(2) == 0 ? 0 : corpus.find('\n') + 1);
+        if (text.find('\n') != std::string::npos)
+            text.resize(text.find('\n'));
+        const uint64_t mutations = rng.below(4) == 0 ? 2 + rng.below(3) : 1;
+        for (uint64_t k = 0; k < mutations; ++k)
+            mutateJson(text, rng);
+        const std::optional<Json> got = Json::parse(text);
+        if (got) {
+            ++parsed;
+            const std::string once = got->dump();
+            const std::optional<Json> again = Json::parse(once);
+            ASSERT_TRUE(again) << "mutant " << i << ": " << once;
+            ASSERT_EQ(again->dump(), once) << "mutant " << i;
+        }
+        if (i % 8 != 0)
+            continue;
+        std::string frame = frameBytes(text);
+        if (rng.below(2) == 0) {
+            mutateJson(frame, rng);
+            readMessageOf(frame); // Any outcome but a crash or a hang.
+            continue;
+        }
+        const std::optional<Json> framed = readMessageOf(frame);
+        ASSERT_EQ(framed.has_value(), got.has_value()) << "mutant " << i;
+        if (got)
+            ASSERT_EQ(framed->dump(), got->dump()) << "mutant " << i;
+    }
+    // Both outcomes must be exercised, or the fuzzer tests nothing.
+    EXPECT_GT(parsed, iterations / 20);
+    EXPECT_LT(parsed, iterations - iterations / 20);
+}
+
+TEST(ServeFuzz, MutantsDecodeOrFailCleanly)
+{
+    fuzzJsonDecoder(1, 2000);
+    // Nesting far past the depth guard is refused, not a stack
+    // overflow, whether parsed directly or read as one frame.
+    const size_t depth = 200000;
+    const std::string deep =
+        std::string(depth, '[') + std::string(depth, ']');
+    EXPECT_FALSE(Json::parse(deep).has_value());
+    EXPECT_FALSE(readMessageOf(frameBytes(deep)).has_value());
+    std::string objects;
+    for (size_t i = 0; i < depth; ++i)
+        objects += "{\"a\":";
+    objects += "1" + std::string(depth, '}');
+    EXPECT_FALSE(Json::parse(objects).has_value());
+}
+
+// The long leg (CI runs it under ASan/UBSan with
+// --gtest_also_run_disabled_tests).
+TEST(ServeFuzz, DISABLED_LongLeg)
+{
+    fuzzJsonDecoder(2, 100000);
 }
 
 // ---------------------------------------------------------------------
@@ -562,6 +736,45 @@ TEST(ServeServer, MeasureBitIdenticalToDirectEngineCall)
     EXPECT_EQ(again["latency_bits"].asString(),
               served["latency_bits"].asString());
     EXPECT_EQ(again["image"].asString(), served["image"].asString());
+}
+
+// The daemon keys images by chained content digests, hashed once per
+// context and image; the text-taking key, which digests the texts
+// itself, must name the same image.
+TEST(ServeServer, ImageKeyIsTheTextCacheKey)
+{
+    serve::ServeOptions opts = tinyServeOptions();
+    serve::Server server(opts);
+    Json params = Json::object();
+    params.set("defense", "lvi");
+    const Json served = callServer(server, "optimize", params);
+
+    ArtifactCache cache;
+    const std::string kernel_text =
+        core::kernelTextCached(opts.kernel, &cache);
+    const ir::Module kernel = ir::parseModule(kernel_text);
+    const std::string profile_text = core::profileTextCached(
+        kernel_text, kernel, kernel::kernelInfoFromModule(kernel),
+        opts.profile_base_iters, &cache);
+    EXPECT_EQ(served["image"].asString(),
+              core::imageCacheKey(kernel_text, profile_text,
+                                  core::OptConfig{},
+                                  *harden::defenseByName("lvi")));
+}
+
+// A cache directory that cannot be created fails start(), before any
+// listener is bound, instead of ending the process.
+TEST(ServeServer, UnusableCacheDirFailsStart)
+{
+    TempDir dir("bad_cache_dir");
+    const fs::path file = dir.path() / "file";
+    std::ofstream(file) << "not a directory";
+    serve::ServeOptions opts = tinyServeOptions();
+    opts.socket_path = (dir.path() / "serve.sock").string();
+    opts.cache_dir = (file / "cache").string();
+    serve::Server server(opts);
+    EXPECT_FALSE(server.start());
+    EXPECT_FALSE(fs::exists(opts.socket_path));
 }
 
 // A corrupt image artifact in the shared cache directory answers the

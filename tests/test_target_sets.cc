@@ -968,5 +968,213 @@ TEST(TargetSetsGolden, ParallelExtractionMatchesForkedSolve)
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
+
+/** The icall in `f` whose instruction sits at `index` in block 0. */
+ir::Instruction&
+icallAt(Module& m, ir::FuncId f, size_t index)
+{
+    ir::Instruction& in = m.func(f).blocks[0].insts[index];
+    EXPECT_EQ(in.op, ir::Opcode::kICall);
+    return in;
+}
+
+// Many sites calling through one op-table, in every shape the call-hub
+// rules single out (DESIGN.md §11): mixed arities over a table that
+// holds arity-mismatched targets, a declaration target, a pointer that
+// is a parameter of an address-taken function, a pointer behind a
+// taint edge, a self-referential icall, an icall result feeding
+// another site's pointer, a single-inflow copy cycle and a site
+// without a result. Each pointer the rules exclude from single-inflow
+// (a seed, an address-taken parameter, an icall result, a taint
+// target) also has exactly one static copy in-edge, so dropping a rule
+// picks a wrong representative. The pointers behind taint edges
+// (`tainted`) and a call through a root's parameter (`unresolved`)
+// are incomplete, and each taints every address-taken parameter, so
+// they come one at a time.
+Module
+sharedOpTableModule(bool tainted, bool unresolved)
+{
+    Module m;
+    auto leaf = [&](const std::string& name, uint32_t params) {
+        return m.addFunction(name, params);
+    };
+    const ir::FuncId z0 = leaf("z0", 0);
+    const ir::FuncId z1 = leaf("z1", 0);
+    const ir::FuncId u0 = leaf("u0", 1);
+    const ir::FuncId u1 = leaf("u1", 1);
+    const ir::FuncId u2 = leaf("u2", 1);
+    const ir::FuncId u3 = leaf("u3", 1);
+    const ir::FuncId b0 = leaf("b0", 2);
+    const ir::FuncId b1 = leaf("b1", 2);
+    const ir::FuncId id = leaf("id", 1);
+    const ir::FuncId ext = leaf("ext", 1); // A declaration.
+    {
+        FunctionBuilder b(m, z0);
+        b.ret(b.constI(5));
+    }
+    {
+        FunctionBuilder b(m, z1);
+        b.ret(b.funcAddr(u0));
+    }
+    {
+        FunctionBuilder b(m, u0);
+        b.sink(b.binImm(BinKind::kAdd, b.param(0), 1));
+        b.ret(b.constI(1));
+    }
+    {
+        FunctionBuilder b(m, u1);
+        b.ret(b.param(0));
+    }
+    {
+        FunctionBuilder b(m, u2);
+        b.ret(b.funcAddr(z0));
+    }
+    {
+        // Calls through its own (address-taken) parameter.
+        FunctionBuilder b(m, u3);
+        b.ret(b.icall(b.param(0), {}));
+    }
+    {
+        FunctionBuilder b(m, b0);
+        b.ret(b.param(1));
+    }
+    {
+        FunctionBuilder b(m, b1);
+        b.ret(b.icall(b.param(0), {b.param(1)}));
+    }
+    {
+        FunctionBuilder b(m, id);
+        b.ret(b.param(0));
+    }
+    std::vector<int64_t> ops;
+    for (ir::FuncId f : {u0, u1, u2, u3, b0, b1, z0, z1})
+        ops.push_back(ir::funcAddrValue(f));
+    const ir::GlobalId table = m.addGlobal("ops", ops);
+    const ir::GlobalId ext_table = m.addGlobal(
+        "ext_ops", {ir::funcAddrValue(u1), ir::funcAddrValue(ext)});
+    const ir::GlobalId self_table =
+        m.addGlobal("self_ops", {ir::funcAddrValue(id)});
+
+    // Several arities through one loaded pointer; the arity-0 site
+    // keeps no result.
+    const ir::FuncId c0 = m.addFunction("c0", 1);
+    {
+        FunctionBuilder b(m, c0);
+        const ir::Reg p = b.load(table, b.param(0), 0);
+        const ir::Reg r = b.icall(p, {b.funcAddr(z0)});
+        const ir::Reg r2 = b.icall(p, {r});
+        const ir::Reg r3 = b.icall(p, {b.param(0), r2});
+        b.icall(p, {});
+        // u3's parameter also has one static copy in-edge.
+        b.call(u3, {b.funcAddr(z0)});
+        b.ret(r3);
+    }
+    icallAt(m, c0, 5).dst = ir::kNoReg;
+    // The same table through a frame slot and a copy, and the
+    // declaration's table.
+    const ir::FuncId c1 = m.addFunction("c1", 1);
+    {
+        FunctionBuilder b(m, c1);
+        const ir::Reg p = b.load(table, b.param(0), 0);
+        const uint32_t slot = b.newFrameSlot();
+        b.frameStore(slot, p);
+        const ir::Reg q = b.move(b.frameLoad(slot));
+        const ir::Reg r = b.icall(q, {b.funcAddr(z1)});
+        const ir::Reg e = b.load(ext_table, b.param(0), 0);
+        // A seeded pointer with one copy in-edge.
+        const ir::Reg s = b.funcAddr(id);
+        b.setReg(s, e);
+        b.icall(s, {b.funcAddr(b0)});
+        b.ret(b.icall(e, {r}));
+    }
+    // An icall result is another site's pointer, directly and through
+    // a copy.
+    const ir::FuncId c3 = m.addFunction("c3", 1);
+    {
+        FunctionBuilder b(m, c3);
+        const ir::Reg p = b.load(table, b.param(0), 0);
+        const ir::Reg f = b.icall(p, {b.funcAddr(u3)});
+        b.setReg(f, b.funcAddr(z1));
+        const ir::Reg g = b.icall(f, {});
+        const ir::Reg h = b.move(f);
+        b.ret(b.icall(h, {g}));
+    }
+    // A self-referential icall: the call's result flows back into its
+    // own pointer, so wiring grows the set it is wiring from.
+    const ir::FuncId c4 = m.addFunction("c4", 1);
+    {
+        FunctionBuilder b(m, c4);
+        const ir::Reg p = b.move(b.load(self_table, b.param(0), 0));
+        const ir::Reg r = b.icall(p, {b.funcAddr(z1)});
+        b.setReg(p, r);
+        b.ret(b.icall(p, {r}));
+    }
+    // A copy cycle that nothing feeds: both sites stay empty.
+    const ir::FuncId c5 = m.addFunction("c5", 1);
+    {
+        FunctionBuilder b(m, c5);
+        const ir::Reg a = b.constI(0);
+        const ir::Reg c = b.move(a);
+        b.setReg(a, c);
+        const ir::Reg r = b.icall(c, {b.param(0)});
+        b.ret(b.icall(a, {r}));
+    }
+    if (tainted) {
+        // A pointer with a copy and two taint in-edges, and one with a
+        // single taint in-edge: its other operand is out of range, so
+        // the summary skips it.
+        const ir::FuncId c6 = m.addFunction("c6", 1);
+        FunctionBuilder b(m, c6);
+        const ir::Reg p = b.load(table, b.param(0), 0);
+        const ir::Reg q = b.move(p);
+        b.setRegBin(q, BinKind::kAdd, q, b.param(0));
+        const ir::Reg r = b.icall(q, {b.param(0)});
+        const ir::Reg t = b.bin(BinKind::kAdd, p, p);
+        b.ret(b.icall(t, {r}));
+        for (ir::Instruction& in : m.func(c6).blocks[0].insts)
+            if (in.op == ir::Opcode::kBinOp && in.dst == t)
+                in.b = m.func(c6).num_regs + 7;
+    }
+    if (unresolved) {
+        const ir::FuncId root = m.addFunction("main", 1);
+        FunctionBuilder b(m, root);
+        const ir::Reg r = b.icall(b.param(0), {b.funcAddr(u3)});
+        const ir::Reg q = b.move(b.param(0));
+        b.ret(b.icall(q, {r}));
+    }
+    return m;
+}
+
+TEST(TargetSetsGolden, SharedOpTableHubs)
+{
+    const struct
+    {
+        bool tainted;
+        bool unresolved;
+        const char* digest;
+    } golden[] = {
+        {false, false, "d98800f5e519a2eb88c212d075894afe"},
+        {true, false, "80289f8d73df7619b23010475ecd012c"},
+        {false, true, "3426062468aa365055e6bfb91f460825"},
+    };
+    for (const auto& [tainted, unresolved, digest] : golden) {
+        const Module m = sharedOpTableModule(tainted, unresolved);
+        SCOPED_TRACE(std::string(tainted ? "tainted " : "") +
+                     (unresolved ? "unresolved" : "resolved"));
+        expectGolden(m, digest);
+    }
+}
+
+// The 448-driver kernel: 897 of its 917 sites load one op-table. Call
+// hubs wire each target once per (pointer, arity), not once per site.
+TEST(TargetSets, HubsCollapseDynamicEdges)
+{
+    const Module m = kernel::buildKernel(kernel::KernelConfig{}).module;
+    TargetSetAnalysis tsa(m);
+    EXPECT_EQ(solutionDigest(tsa), "a455a8b453077985f557b220a324a5e0");
+    EXPECT_LT(tsa.solverStats().dynamic_edges, 50000u);
+    EXPECT_GT(tsa.solverStats().call_hubs, 0u);
+}
+
 } // namespace
 } // namespace pibe

@@ -357,8 +357,14 @@ cmdMeasure(Args& args)
             .count();
 
     runtime::ArtifactCache cache;
-    if (!cache_dir.empty())
-        cache.setDiskDir(cache_dir);
+    if (!cache_dir.empty()) {
+        if (std::optional<std::string> error = cache.setDiskDir(cache_dir))
+            PIBE_FATAL(*error);
+    }
+    // Each image text is hashed once; every measurement key chains it.
+    const core::ArtifactDigest image_digest =
+        core::ArtifactDigest::of(image_text);
+    core::ArtifactDigest base_digest;
 
     std::vector<std::string> tests;
     if (test == "all") {
@@ -376,6 +382,7 @@ cmdMeasure(Args& args)
         base_text = readFile(baseline_path);
         base_mod = std::make_unique<ir::Module>(
             parseAndVerify(base_text, baseline_path));
+        base_digest = core::ArtifactDigest::of(base_text);
         base_info = kernel::kernelInfoFromModule(*base_mod);
         base_decoded =
             std::make_shared<const uarch::DecodedModule>(*base_mod);
@@ -398,7 +405,7 @@ cmdMeasure(Args& args)
                       const Clock::time_point t0 = Clock::now();
                       const core::Measurement meas =
                           core::measureWorkloadCached(
-                              image_text, decoded, info, tests[i],
+                              image_digest, decoded, info, tests[i],
                               config, &cache);
                       run_ms[i] = std::chrono::duration<double,
                                                         std::milli>(
@@ -413,7 +420,7 @@ cmdMeasure(Args& args)
                       [&, i](const runtime::JobContext&) {
                           base_lat[i] =
                               core::measureWorkloadCached(
-                                  base_text, base_decoded, base_info,
+                                  base_digest, base_decoded, base_info,
                                   tests[i], config, &cache)
                                   .latency_us;
                       });
@@ -783,6 +790,7 @@ cmdCheck(Args& args)
             t << ",\"solver\":{\"nodes\":" << ss.nodes
               << ",\"static_edges\":" << ss.static_edges
               << ",\"dynamic_edges\":" << ss.dynamic_edges
+              << ",\"call_hubs\":" << ss.call_hubs
               << ",\"pops\":" << ss.pops << ",\"solve_ms\":"
               << std::fixed << std::setprecision(2) << ss.solve_ms
               << ",\"extract_ms\":" << ss.extract_ms
