@@ -13,10 +13,10 @@ instructionCost(const ir::Instruction& inst)
       case Opcode::kCall:
       case Opcode::kICall:
         return kInstrCost +
-               kInstrCost * static_cast<int64_t>(inst.args.size());
+               kInstrCost * static_cast<int64_t>(inst.operand_count);
       case Opcode::kSwitch:
         return kInstrCost +
-               2 * static_cast<int64_t>(inst.case_values.size());
+               2 * static_cast<int64_t>(inst.operand_count);
       default:
         return kInstrCost;
     }

@@ -53,9 +53,9 @@ instByteSize(const ir::Instruction& inst)
       case Opcode::kFrameLoad:  return 4;
       case Opcode::kFrameStore: return 4;
       case Opcode::kCall:
-        return 5 + 2 * static_cast<uint32_t>(inst.args.size());
+        return 5 + 2 * inst.operand_count;
       case Opcode::kICall:
-        return 3 + 2 * static_cast<uint32_t>(inst.args.size()) +
+        return 3 + 2 * inst.operand_count +
                fwdSchemeBytes(inst.fwd_scheme);
       case Opcode::kRet:
         return 1 + retSchemeBytes(inst.ret_scheme);
@@ -63,7 +63,7 @@ instByteSize(const ir::Instruction& inst)
       case Opcode::kCondBr:     return 4;  // test + jcc
       case Opcode::kSwitch:
         // Bounds check + indexed jump + 8-byte table entries.
-        return 10 + 8 * static_cast<uint32_t>(inst.case_values.size()) +
+        return 10 + 8 * inst.operand_count +
                fwdSchemeBytes(inst.fwd_scheme);
       case Opcode::kSink:       return 3;
     }

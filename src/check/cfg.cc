@@ -5,7 +5,7 @@
 namespace pibe::check {
 
 std::vector<ir::BlockId>
-terminatorSuccessors(const ir::Instruction& term)
+terminatorSuccessors(const ir::Function& func, const ir::Instruction& term)
 {
     switch (term.op) {
       case ir::Opcode::kBr:
@@ -14,8 +14,8 @@ terminatorSuccessors(const ir::Instruction& term)
         return {term.t0, term.t1};
       case ir::Opcode::kSwitch: {
         std::vector<ir::BlockId> out{term.t0};
-        out.insert(out.end(), term.case_targets.begin(),
-                   term.case_targets.end());
+        for (const ir::SwitchCase& c : func.cases(term))
+            out.push_back(c.target);
         return out;
       }
       case ir::Opcode::kRet:
@@ -37,7 +37,7 @@ Cfg::Cfg(const ir::Function& func)
 
     for (ir::BlockId b = 0; b < n; ++b) {
         for (ir::BlockId s :
-             terminatorSuccessors(func.blocks[b].terminator())) {
+             terminatorSuccessors(func, func.blocks[b].terminator())) {
             PIBE_ASSERT(s < n, "Cfg: out-of-range successor in ",
                         func.name);
             succs_[b].push_back(s);

@@ -18,8 +18,10 @@
 
 namespace pibe::check {
 
-/** Successor block ids of a terminator (empty for kRet). */
-std::vector<ir::BlockId> terminatorSuccessors(const ir::Instruction& term);
+/** Successor block ids of `term`, a terminator of `func` (empty for
+ *  kRet). */
+std::vector<ir::BlockId> terminatorSuccessors(const ir::Function& func,
+                                              const ir::Instruction& term);
 
 /** Control-flow graph of one function body. */
 class Cfg

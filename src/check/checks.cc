@@ -129,7 +129,7 @@ class Linter
              const ReachingDefs::Cursor& reach, const BitVector& have)
     {
         uses_.clear();
-        appendUses(inst, uses_);
+        appendUses(f, inst, uses_);
         for (ir::Reg r : uses_) {
             if (r >= f.num_regs)
                 continue; // verifier territory
@@ -223,12 +223,12 @@ class Linter
         }
         for (ir::FuncId t : targets) {
             const ir::Function& callee = module_.func(t);
-            if (inst.args.size() != callee.num_params) {
+            if (inst.operand_count != callee.num_params) {
                 Diagnostic& d = emitAt(
                     "lint.call-arity", Severity::kError, f.id, b,
                     static_cast<int32_t>(i),
                     "indirect call passes " +
-                        std::to_string(inst.args.size()) +
+                        std::to_string(inst.operand_count) +
                         " args but resolvable target @" + callee.name +
                         " expects " + std::to_string(callee.num_params));
                 d.site = inst.site_id;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 
 namespace pibe::check {
 
@@ -105,7 +106,8 @@ instrDef(const ir::Instruction& inst)
 }
 
 void
-appendUses(const ir::Instruction& inst, std::vector<ir::Reg>& uses)
+appendUses(const ir::Function& func, const ir::Instruction& inst,
+           std::vector<ir::Reg>& uses)
 {
     switch (inst.op) {
       case ir::Opcode::kConst:
@@ -128,13 +130,17 @@ appendUses(const ir::Instruction& inst, std::vector<ir::Reg>& uses)
       case ir::Opcode::kLoad:
         uses.push_back(inst.a);
         break;
-      case ir::Opcode::kCall:
-        uses.insert(uses.end(), inst.args.begin(), inst.args.end());
+      case ir::Opcode::kCall: {
+        const std::span<const ir::Reg> args = func.args(inst);
+        uses.insert(uses.end(), args.begin(), args.end());
         break;
-      case ir::Opcode::kICall:
+      }
+      case ir::Opcode::kICall: {
         uses.push_back(inst.a);
-        uses.insert(uses.end(), inst.args.begin(), inst.args.end());
+        const std::span<const ir::Reg> args = func.args(inst);
+        uses.insert(uses.end(), args.begin(), args.end());
         break;
+      }
       case ir::Opcode::kRet:
         if (inst.a != ir::kNoReg)
             uses.push_back(inst.a);
@@ -158,7 +164,7 @@ Liveness::Liveness(const ir::Function& func, const Cfg& cfg)
         // (gen) only if no earlier def in the block killed it.
         for (const ir::Instruction& inst : func.blocks[b].insts) {
             uses.clear();
-            appendUses(inst, uses);
+            appendUses(func, inst, uses);
             for (ir::Reg r : uses) {
                 if (r < universe && !t.kill.test(r))
                     t.gen.set(r);
@@ -185,7 +191,7 @@ Liveness::perInstLiveOut(ir::BlockId b) const
         if (d != ir::kNoReg && d < live.size())
             live.clear(d);
         uses.clear();
-        appendUses(insts[i], uses);
+        appendUses(func_, insts[i], uses);
         for (ir::Reg r : uses)
             if (r < live.size())
                 live.set(r);
@@ -207,7 +213,7 @@ Liveness::perInstLiveOut(ir::BlockId b, FactMatrix& out) const
         if (d != ir::kNoReg && d < live.size())
             live.clear(d);
         uses.clear();
-        appendUses(insts[i], uses);
+        appendUses(func_, insts[i], uses);
         for (ir::Reg r : uses)
             if (r < live.size())
                 live.set(r);

@@ -211,8 +211,10 @@ DataflowResult solveDataflow(const Cfg& cfg, Direction dir, Meet meet,
 /** Register defined by `inst`, or kNoReg. */
 ir::Reg instrDef(const ir::Instruction& inst);
 
-/** Append every register `inst` reads to `uses`. */
-void appendUses(const ir::Instruction& inst, std::vector<ir::Reg>& uses);
+/** Append every register `inst`, an instruction of `func`, reads to
+ *  `uses`. */
+void appendUses(const ir::Function& func, const ir::Instruction& inst,
+                std::vector<ir::Reg>& uses);
 
 // --- Concrete analyses ---------------------------------------------
 

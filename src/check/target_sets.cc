@@ -291,13 +291,14 @@ TargetSetAnalysis::extractSummary(ir::FuncId f,
                     // Arguments flow into parameter registers.
                     uint32_t np = std::min(callee.num_params,
                                            callee.num_regs);
-                    for (uint32_t ai = 0;
-                         ai < in.args.size() && ai < np; ++ai) {
-                        if (!reg_ok(in.args[ai]))
+                    const std::span<const ir::Reg> args = fn.args(in);
+                    for (uint32_t ai = 0; ai < args.size() && ai < np;
+                         ++ai) {
+                        if (!reg_ok(args[ai]))
                             continue;
                         c.kind = Constraint::Kind::kCallArg;
                         c.dst = ai;
-                        c.src = in.args[ai];
+                        c.src = args[ai];
                         c.callee = in.callee;
                         scratch.push_back(c);
                     }
@@ -320,7 +321,8 @@ TargetSetAnalysis::extractSummary(ir::FuncId f,
                 rec.index = i;
                 rec.ptr = in.a;
                 rec.dst = in.dst;
-                rec.args = in.args;
+                const std::span<const ir::Reg> args = fn.args(in);
+                rec.args.assign(args.begin(), args.end());
                 rec.is_asm = in.is_asm;
                 sum.icalls.push_back(std::move(rec));
                 break;

@@ -192,7 +192,7 @@ FunctionBuilder::call(FuncId callee, std::vector<Reg> args)
     i.op = Opcode::kCall;
     i.dst = newReg();
     i.callee = callee;
-    i.args = std::move(args);
+    function().setArgs(i, args);
     i.site_id = module_.allocSiteId();
     return emit(std::move(i)).dst;
 }
@@ -204,7 +204,7 @@ FunctionBuilder::icall(Reg target, std::vector<Reg> args, bool is_asm)
     i.op = Opcode::kICall;
     i.dst = newReg();
     i.a = target;
-    i.args = std::move(args);
+    function().setArgs(i, args);
     i.is_asm = is_asm;
     i.site_id = module_.allocSiteId();
     return emit(std::move(i)).dst;
@@ -251,18 +251,14 @@ FunctionBuilder::condBr(Reg cond, BlockId if_true, BlockId if_false)
 
 void
 FunctionBuilder::switchOn(Reg value, BlockId default_target,
-                          std::vector<std::pair<int64_t, BlockId>> cases,
-                          bool is_asm)
+                          std::vector<SwitchCase> cases, bool is_asm)
 {
     Instruction i;
     i.op = Opcode::kSwitch;
     i.a = value;
     i.t0 = default_target;
     i.is_asm = is_asm;
-    for (auto& [v, b] : cases) {
-        i.case_values.push_back(v);
-        i.case_targets.push_back(b);
-    }
+    function().setCases(i, cases);
     emit(std::move(i));
 }
 

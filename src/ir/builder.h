@@ -5,7 +5,6 @@
 #ifndef PIBE_IR_BUILDER_H_
 #define PIBE_IR_BUILDER_H_
 
-#include <utility>
 #include <vector>
 
 #include "ir/module.h"
@@ -88,8 +87,7 @@ class FunctionBuilder
      *  `is_asm` marks hand-written assembly dispatch that hardening
      *  passes must leave alone (it stays a vulnerable indirect jump). */
     void switchOn(Reg value, BlockId default_target,
-                  std::vector<std::pair<int64_t, BlockId>> cases,
-                  bool is_asm = false);
+                  std::vector<SwitchCase> cases, bool is_asm = false);
 
   private:
     Instruction& emit(Instruction inst);

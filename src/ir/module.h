@@ -17,7 +17,9 @@
 #ifndef PIBE_IR_MODULE_H_
 #define PIBE_IR_MODULE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -115,29 +117,18 @@ enum class RetScheme : uint8_t {
  * The struct is a tagged union in spirit: which fields are meaningful
  * depends on `op` (see Opcode docs). `site_id` tags call sites and
  * returns with a stable identifier used by the profiler.
+ *
+ * Variable-length operands live in the owning Function's operand
+ * pool: a kCall/kICall's argument list or a kSwitch's case list is
+ * the range [operand_offset, operand_offset + operand_count) of that
+ * pool, read through Function::args() / Function::cases(). Every
+ * other opcode has operand_count 0. The byte-sized fields come first
+ * so the struct packs into 56 bytes.
  */
 struct Instruction
 {
     Opcode op = Opcode::kConst;
     BinKind bin = BinKind::kAdd;
-
-    Reg dst = kNoReg;
-    Reg a = kNoReg;
-    Reg b = kNoReg;
-    int64_t imm = 0;
-
-    FuncId callee = kInvalidFunc; ///< kCall / kFuncAddr target.
-    GlobalId global = 0;          ///< kLoad / kStore array.
-
-    BlockId t0 = 0; ///< kBr / kCondBr-true target.
-    BlockId t1 = 0; ///< kCondBr-false target.
-
-    std::vector<Reg> args;            ///< kCall / kICall arguments.
-    std::vector<int64_t> case_values; ///< kSwitch case labels.
-    std::vector<BlockId> case_targets;///< kSwitch case targets (t0=default).
-
-    SiteId site_id = kNoSite;
-
     FwdScheme fwd_scheme = FwdScheme::kNone;
     RetScheme ret_scheme = RetScheme::kNone;
 
@@ -148,12 +139,38 @@ struct Instruction
      */
     bool is_asm = false;
 
+    int64_t imm = 0;
+
+    Reg dst = kNoReg;
+    Reg a = kNoReg;
+    Reg b = kNoReg;
+
+    FuncId callee = kInvalidFunc; ///< kCall / kFuncAddr target.
+    GlobalId global = 0;          ///< kLoad / kStore array.
+
+    BlockId t0 = 0; ///< kBr / kCondBr-true / kSwitch-default target.
+    BlockId t1 = 0; ///< kCondBr-false target.
+
+    SiteId site_id = kNoSite;
+
+    /** Range of the call's arguments / the switch's cases in the
+     *  function's operand pool (count 0 for every other opcode). */
+    uint32_t operand_offset = 0;
+    uint32_t operand_count = 0;
+
     /** True for terminator opcodes (must be last in their block). */
     bool
     isTerminator() const
     {
         return op == Opcode::kRet || op == Opcode::kBr ||
                op == Opcode::kCondBr || op == Opcode::kSwitch;
+    }
+
+    /** True for kCall / kICall, the opcodes that take arguments. */
+    bool
+    isCall() const
+    {
+        return op == Opcode::kCall || op == Opcode::kICall;
     }
 
     /** True if this instruction writes a register. */
@@ -178,6 +195,29 @@ struct Instruction
             return isTerminator();
         }
     }
+};
+
+static_assert(sizeof(Instruction) <= 56,
+              "variable-length operands belong in the operand pool");
+
+/** One arm of a kSwitch: jump to `target` when the value is `value`. */
+struct SwitchCase
+{
+    int64_t value = 0;
+    BlockId target = 0;
+};
+
+/**
+ * A function's operand pool: the argument lists of its calls and the
+ * case lists of its switches, one array per element type. Each
+ * instruction owns its own range (ranges are never shared) and the
+ * range of an erased instruction stays behind as dead entries until
+ * the module is reparsed.
+ */
+struct OperandPool
+{
+    std::vector<Reg> args;
+    std::vector<SwitchCase> cases;
 };
 
 /** A basic block: straight-line instructions ending in a terminator. */
@@ -223,6 +263,7 @@ struct Function
     uint32_t frame_size = 0;
     uint32_t attrs = kAttrNone;
     std::vector<BasicBlock> blocks;
+    OperandPool operands;
 
     bool hasAttr(FuncAttr attr) const { return (attrs & attr) != 0; }
     bool isDeclaration() const { return blocks.empty(); }
@@ -235,6 +276,85 @@ struct Function
         for (const auto& bb : blocks)
             n += bb.insts.size();
         return n;
+    }
+
+    /**
+     * A call's arguments and a switch's cases: spans into the pool,
+     * empty for every other opcode. An append to the same function's
+     * pool (setArgs, setCases, copyArgs) may move it, so no span is
+     * held across one.
+     */
+    std::span<const Reg>
+    args(const Instruction& inst) const
+    {
+        return slice(std::span(operands.args), inst, inst.isCall());
+    }
+    std::span<Reg>
+    args(const Instruction& inst)
+    {
+        return slice(std::span(operands.args), inst, inst.isCall());
+    }
+    std::span<const SwitchCase>
+    cases(const Instruction& inst) const
+    {
+        return slice(std::span(operands.cases), inst,
+                     inst.op == Opcode::kSwitch);
+    }
+    std::span<SwitchCase>
+    cases(const Instruction& inst)
+    {
+        return slice(std::span(operands.cases), inst,
+                     inst.op == Opcode::kSwitch);
+    }
+
+    /** Append `regs` (not a span of this pool) as `inst`'s arguments. */
+    void
+    setArgs(Instruction& inst, std::span<const Reg> regs)
+    {
+        append(operands.args, inst, regs);
+    }
+
+    /** Append `cases` (not a span of this pool) as `inst`'s cases. */
+    void
+    setCases(Instruction& inst, std::span<const SwitchCase> cases)
+    {
+        append(operands.cases, inst, cases);
+    }
+
+    /** Give call `to` its own copy of call `from`'s arguments. */
+    void
+    copyArgs(Instruction& to, const Instruction& from)
+    {
+        std::vector<Reg>& pool = operands.args;
+        const uint32_t src = from.operand_offset;
+        const uint32_t n = from.operand_count;
+        PIBE_ASSERT(pool.size() + n <= UINT32_MAX, "operand pool overflow");
+        to.operand_offset = static_cast<uint32_t>(pool.size());
+        to.operand_count = n;
+        pool.resize(pool.size() + n); // may move the pool: copy by index
+        std::copy_n(pool.begin() + src, n, pool.begin() + to.operand_offset);
+    }
+
+  private:
+    template <typename T>
+    static std::span<T>
+    slice(std::span<T> pool, const Instruction& inst, bool has_list)
+    {
+        return has_list ? pool.subspan(inst.operand_offset,
+                                       inst.operand_count)
+                        : pool.first(0);
+    }
+
+    template <typename T>
+    static void
+    append(std::vector<T>& pool, Instruction& inst,
+           std::span<const T> items)
+    {
+        PIBE_ASSERT(pool.size() + items.size() <= UINT32_MAX,
+                    "operand pool overflow");
+        inst.operand_offset = static_cast<uint32_t>(pool.size());
+        inst.operand_count = static_cast<uint32_t>(items.size());
+        pool.insert(pool.end(), items.begin(), items.end());
     }
 };
 

@@ -502,6 +502,7 @@ class ModuleParser
     {
         Function* current = nullptr;
         size_t blocks = 0; // labels parsed in `current`
+        OperandPool lists; // one call's or switch's list, reused
         try {
             forEachLine(seg.text, seg.first_line,
                         [&](std::string_view line, size_t line_no) {
@@ -531,8 +532,9 @@ class ModuleParser
                 if (blocks == 0)
                     cur.fail("instruction before first block label");
                 parseInstruction(
-                    cur, current->blocks[blocks - 1].insts.emplace_back(),
-                    seg.max_site);
+                    cur, *current,
+                    current->blocks[blocks - 1].insts.emplace_back(),
+                    lists, seg.max_site);
             });
         } catch (ParseError& e) {
             seg.error = std::move(e.message);
@@ -573,9 +575,11 @@ class ModuleParser
             cur.fail("trailing tokens");
     }
 
+    /** Parse "(rA, rB, ...)" into `args` (cleared first). */
     static void
     parseArgList(LineCursor& cur, std::vector<Reg>& args)
     {
+        args.clear();
         cur.expect("(");
         if (cur.tryLiteral(")"))
             return;
@@ -609,8 +613,8 @@ class ModuleParser
     }
 
     void
-    parseInstruction(LineCursor& cur, Instruction& inst,
-                     SiteId& max_site) const
+    parseInstruction(LineCursor& cur, Function& f, Instruction& inst,
+                     OperandPool& lists, SiteId& max_site) const
     {
         // Destination-less forms first.
         if (cur.tryLiteral("store ")) {
@@ -671,11 +675,14 @@ class ModuleParser
             inst.a = cur.parseReg();
             cur.expect("default");
             inst.t0 = cur.parseBlock();
+            lists.cases.clear();
             while (cur.tryLiteral(",")) {
-                inst.case_values.push_back(cur.parseInt());
+                SwitchCase& c = lists.cases.emplace_back();
+                c.value = cur.parseInt();
                 cur.expect("->");
-                inst.case_targets.push_back(cur.parseBlock());
+                c.target = cur.parseBlock();
             }
+            f.setCases(inst, lists.cases);
             parseAnnotations(cur, inst, max_site);
             return;
         }
@@ -707,11 +714,13 @@ class ModuleParser
         } else if (cur.tryLiteral("call ")) {
             inst.op = Opcode::kCall;
             inst.callee = resolveFunc(cur);
-            parseArgList(cur, inst.args);
+            parseArgList(cur, lists.args);
+            f.setArgs(inst, lists.args);
         } else if (cur.tryLiteral("icall ")) {
             inst.op = Opcode::kICall;
             inst.a = cur.parseReg();
-            parseArgList(cur, inst.args);
+            parseArgList(cur, lists.args);
+            f.setArgs(inst, lists.args);
         } else {
             const std::string_view word = cur.parseWord();
             BinKind kind;

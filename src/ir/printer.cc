@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <concepts>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -127,7 +128,7 @@ append(std::string& out, const Parts&... parts)
 }
 
 void
-appendArgs(std::string& out, const std::vector<Reg>& args)
+appendArgs(std::string& out, std::span<const Reg> args)
 {
     out += '(';
     for (size_t i = 0; i < args.size(); ++i)
@@ -145,7 +146,7 @@ appendFwdAnnotations(std::string& out, const Instruction& inst)
 }
 
 void
-appendInstruction(std::string& out, const Module& m,
+appendInstruction(std::string& out, const Module& m, const Function& f,
                   const Instruction& inst)
 {
     const RegName dst{inst.dst};
@@ -180,11 +181,11 @@ appendInstruction(std::string& out, const Module& m,
         break;
       case Opcode::kCall:
         append(out, dst, " = call @", m.func(inst.callee).name);
-        appendArgs(out, inst.args);
+        appendArgs(out, f.args(inst));
         break;
       case Opcode::kICall:
         append(out, dst, " = icall ", a);
-        appendArgs(out, inst.args);
+        appendArgs(out, f.args(inst));
         appendFwdAnnotations(out, inst);
         break;
       case Opcode::kRet:
@@ -202,9 +203,8 @@ appendInstruction(std::string& out, const Module& m,
         break;
       case Opcode::kSwitch:
         append(out, "switch ", a, " default bb", inst.t0);
-        for (size_t i = 0; i < inst.case_values.size(); ++i)
-            append(out, ", ", inst.case_values[i], "->bb",
-                   inst.case_targets[i]);
+        for (const SwitchCase& c : f.cases(inst))
+            append(out, ", ", c.value, "->bb", c.target);
         appendFwdAnnotations(out, inst);
         break;
       case Opcode::kSink:
@@ -233,7 +233,7 @@ appendFunction(std::string& out, const Module& m, const Function& f)
         append(out, "bb", b, ":\n");
         for (const auto& inst : f.blocks[b].insts) {
             out += "    ";
-            appendInstruction(out, m, inst);
+            appendInstruction(out, m, f, inst);
             out += '\n';
         }
     }
@@ -243,10 +243,11 @@ appendFunction(std::string& out, const Module& m, const Function& f)
 } // namespace
 
 std::string
-printInstruction(const Module& m, const Instruction& inst)
+printInstruction(const Module& m, const Function& f,
+                 const Instruction& inst)
 {
     std::string out;
-    appendInstruction(out, m, inst);
+    appendInstruction(out, m, f, inst);
     return out;
 }
 

@@ -12,8 +12,10 @@
 
 namespace pibe::ir {
 
-/** Render one instruction, e.g. "r3 = call @foo(r1, r2) !site 17". */
-std::string printInstruction(const Module& module, const Instruction& inst);
+/** Render one instruction of `func`, e.g.
+ *  "r3 = call @foo(r1, r2) !site 17". */
+std::string printInstruction(const Module& module, const Function& func,
+                             const Instruction& inst);
 
 /** Render a function with block labels. */
 std::string printFunction(const Module& module, const Function& func);

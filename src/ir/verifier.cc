@@ -85,9 +85,35 @@ class FunctionVerifier
                     " within function");
     }
 
+    /** True if `inst`'s operand range lies inside the pool its opcode
+     *  reads (the empty range for opcodes that take no list). */
+    bool
+    checkOperandRange(BlockId b, size_t i, const Instruction& inst)
+    {
+        size_t pool = 0;
+        if (inst.isCall()) {
+            pool = func_.operands.args.size();
+        } else if (inst.op == Opcode::kSwitch) {
+            pool = func_.operands.cases.size();
+        } else if (inst.operand_count != 0) {
+            problem(b, i, "operand count ", inst.operand_count,
+                    " on an opcode that takes no operand list");
+            return false;
+        }
+        if (size_t{inst.operand_offset} + inst.operand_count > pool) {
+            problem(b, i, "operand range [", inst.operand_offset, ", ",
+                    size_t{inst.operand_offset} + inst.operand_count,
+                    ") leaves the function's pool of ", pool);
+            return false;
+        }
+        return true;
+    }
+
     void
     checkInst(BlockId b, size_t i, const Instruction& inst)
     {
+        if (!checkOperandRange(b, i, inst))
+            return;
         switch (inst.op) {
           case Opcode::kConst:
             checkReg(b, i, inst.dst, "dst");
@@ -137,12 +163,12 @@ class FunctionVerifier
                 break;
             }
             const Function& callee = module_.func(inst.callee);
-            if (inst.args.size() != callee.num_params) {
+            if (inst.operand_count != callee.num_params) {
                 problem(b, i, "call to ", callee.name, " with ",
-                        inst.args.size(), " args, expected ",
+                        inst.operand_count, " args, expected ",
                         callee.num_params);
             }
-            for (Reg r : inst.args)
+            for (Reg r : func_.args(inst))
                 checkReg(b, i, r, "arg");
             checkSite(b, i, inst, "call");
             break;
@@ -150,7 +176,7 @@ class FunctionVerifier
           case Opcode::kICall:
             checkReg(b, i, inst.dst, "dst");
             checkReg(b, i, inst.a, "target");
-            for (Reg r : inst.args)
+            for (Reg r : func_.args(inst))
                 checkReg(b, i, r, "arg");
             checkSite(b, i, inst, "icall");
             break;
@@ -170,14 +196,13 @@ class FunctionVerifier
           case Opcode::kSwitch: {
             checkReg(b, i, inst.a, "value");
             checkTarget(b, i, inst.t0);
-            if (inst.case_values.size() != inst.case_targets.size())
-                problem(b, i, "switch case arity mismatch");
-            for (BlockId t : inst.case_targets)
-                checkTarget(b, i, t);
-            std::unordered_set<int64_t> cases;
-            for (int64_t v : inst.case_values) {
-                if (!cases.insert(v).second)
-                    problem(b, i, "duplicate switch case value ", v);
+            const std::span<const SwitchCase> cases = func_.cases(inst);
+            for (const SwitchCase& c : cases)
+                checkTarget(b, i, c.target);
+            std::unordered_set<int64_t> values;
+            for (const SwitchCase& c : cases) {
+                if (!values.insert(c.value).second)
+                    problem(b, i, "duplicate switch case value ", c.value);
             }
             break;
           }

@@ -98,13 +98,13 @@ KernelBuilder::buildDrivers()
             const uint32_t ncmds = 4 + static_cast<uint32_t>(
                                            rng_.below(5));
             Reg sel = b.binImm(BK::kAnd, b.param(1), 7);
-            std::vector<std::pair<int64_t, ir::BlockId>> cases;
+            std::vector<ir::SwitchCase> cases;
             ir::BlockId dflt = b.newBlock();
             for (uint32_t c = 0; c < ncmds; ++c)
                 cases.push_back({c, b.newBlock()});
             b.switchOn(sel, dflt, cases);
             for (uint32_t c = 0; c < ncmds; ++c) {
-                b.setBlock(cases[c].second);
+                b.setBlock(cases[c].target);
                 Reg r = b.call(helpers[c % nh],
                                {b.param(2), b.param(1)});
                 b.ret(r);
@@ -155,12 +155,12 @@ KernelBuilder::buildDrivers()
         Reg sel = b.binImm(BK::kRem, b.param(0),
                            static_cast<int64_t>(cfg_.num_drivers));
         ir::BlockId dflt = b.newBlock();
-        std::vector<std::pair<int64_t, ir::BlockId>> cases;
+        std::vector<ir::SwitchCase> cases;
         for (uint32_t d = 0; d < cfg_.num_drivers; ++d)
             cases.push_back({d, b.newBlock()});
         b.switchOn(sel, dflt, cases);
         for (uint32_t d = 0; d < cfg_.num_drivers; ++d) {
-            b.setBlock(cases[d].second);
+            b.setBlock(cases[d].target);
             Reg r = b.call(driver_work_[d], {b.param(1), b.param(2)});
             b.ret(r);
         }

@@ -118,9 +118,9 @@ constantFold(ir::Function& func)
                 int64_t v;
                 if (lookup(inst.a, &v)) {
                     ir::BlockId target = inst.t0;
-                    for (size_t c = 0; c < inst.case_values.size(); ++c) {
-                        if (inst.case_values[c] == v) {
-                            target = inst.case_targets[c];
+                    for (const ir::SwitchCase& c : func.cases(inst)) {
+                        if (c.value == v) {
+                            target = c.target;
                             break;
                         }
                     }
@@ -164,7 +164,7 @@ copyPropagate(ir::Function& func)
             };
             rewrite(inst.a);
             rewrite(inst.b);
-            for (ir::Reg& r : inst.args)
+            for (ir::Reg& r : func.args(inst))
                 rewrite(r);
 
             // Record / invalidate facts for the written register.
@@ -202,7 +202,7 @@ deadCodeElim(ir::Function& func)
             for (const auto& inst : bb.insts) {
                 use(inst.a);
                 use(inst.b);
-                for (ir::Reg r : inst.args)
+                for (ir::Reg r : func.args(inst))
                     use(r);
             }
         }
@@ -225,9 +225,11 @@ deadCodeElim(ir::Function& func)
 
 namespace {
 
-/** Append every successor of `term` to `out`. */
+/** Append every successor of `term`, a terminator of `func`, to
+ *  `out`. */
 void
-successors(const ir::Instruction& term, std::vector<ir::BlockId>* out)
+successors(const ir::Function& func, const ir::Instruction& term,
+           std::vector<ir::BlockId>* out)
 {
     switch (term.op) {
       case ir::Opcode::kBr:
@@ -239,34 +241,42 @@ successors(const ir::Instruction& term, std::vector<ir::BlockId>* out)
         break;
       case ir::Opcode::kSwitch:
         out->push_back(term.t0);
-        for (ir::BlockId t : term.case_targets)
-            out->push_back(t);
+        for (const ir::SwitchCase& c : func.cases(term))
+            out->push_back(c.target);
         break;
       default:
         break;
     }
 }
 
-/** Retarget every successor reference using `map`. */
-void
-retarget(ir::Instruction& term, const std::vector<ir::BlockId>& map)
+/** Retarget every successor reference of `term`, a terminator of
+ *  `func`, using `map`. Returns true if any target changed. */
+bool
+retarget(ir::Function& func, ir::Instruction& term,
+         const std::vector<ir::BlockId>& map)
 {
+    bool changed = false;
+    auto redirect = [&](ir::BlockId& t) {
+        changed |= map[t] != t;
+        t = map[t];
+    };
     switch (term.op) {
       case ir::Opcode::kBr:
-        term.t0 = map[term.t0];
+        redirect(term.t0);
         break;
       case ir::Opcode::kCondBr:
-        term.t0 = map[term.t0];
-        term.t1 = map[term.t1];
+        redirect(term.t0);
+        redirect(term.t1);
         break;
       case ir::Opcode::kSwitch:
-        term.t0 = map[term.t0];
-        for (ir::BlockId& t : term.case_targets)
-            t = map[t];
+        redirect(term.t0);
+        for (ir::SwitchCase& c : func.cases(term))
+            redirect(c.target);
         break;
       default:
         break;
     }
+    return changed;
 }
 
 } // namespace
@@ -299,13 +309,8 @@ simplifyCfg(ir::Function& func)
         for (auto& bb : func.blocks) {
             if (bb.insts.empty())
                 continue;
-            ir::Instruction& term = bb.insts.back();
-            ir::Instruction before = term;
-            retarget(term, forward);
-            if (term.t0 != before.t0 || term.t1 != before.t1 ||
-                term.case_targets != before.case_targets) {
+            if (retarget(func, bb.insts.back(), forward))
                 any_change = true;
-            }
         }
     }
 
@@ -320,7 +325,7 @@ simplifyCfg(ir::Function& func)
                 if (bb.insts.empty())
                     continue;
                 succ.clear();
-                successors(bb.insts.back(), &succ);
+                successors(func, bb.insts.back(), &succ);
                 for (ir::BlockId s : succ)
                     ++preds[s];
             }
@@ -361,7 +366,7 @@ simplifyCfg(ir::Function& func)
             if (bb.insts.empty())
                 continue;
             succ.clear();
-            successors(bb.insts.back(), &succ);
+            successors(func, bb.insts.back(), &succ);
             for (ir::BlockId s : succ) {
                 if (!reachable[s]) {
                     reachable[s] = true;
@@ -383,7 +388,7 @@ simplifyCfg(ir::Function& func)
             }
             for (auto& bb : kept) {
                 if (!bb.insts.empty())
-                    retarget(bb.insts.back(), remap);
+                    retarget(func, bb.insts.back(), remap);
             }
             func.blocks = std::move(kept);
             any_change = true;

@@ -154,7 +154,7 @@ promoteSite(ir::Function& f, ir::BlockId bb_id, uint32_t idx,
         direct.op = ir::Opcode::kCall;
         direct.dst = icall.dst;
         direct.callee = target;
-        direct.args = icall.args;
+        f.copyArgs(direct, icall);
         direct.site_id = direct_sites[t];
 
         ir::Instruction br;
@@ -175,7 +175,7 @@ promoteSite(ir::Function& f, ir::BlockId bb_id, uint32_t idx,
         direct.op = ir::Opcode::kCall;
         direct.dst = icall.dst;
         direct.callee = targets.back();
-        direct.args = icall.args;
+        f.copyArgs(direct, icall);
         direct.site_id = direct_sites.back();
         ir::Instruction br;
         br.op = ir::Opcode::kBr;
@@ -186,8 +186,9 @@ promoteSite(ir::Function& f, ir::BlockId bb_id, uint32_t idx,
         return;
     }
 
-    // Fallback: the original indirect call (keeps its site id and any
-    // residual profile weight), then fall through to the continuation.
+    // Fallback: the original indirect call (keeps its site id, its
+    // operand range and any residual profile weight), then fall
+    // through to the continuation.
     {
         ir::Instruction fallback = icall;
         ir::Instruction br;
@@ -247,7 +248,7 @@ planIcp(const ir::Module& module, const profile::EdgeProfile& profile,
                 continue;
             const ir::Function& callee = module.func(target);
             // A guarded direct call must match the callee's signature.
-            if (callee.num_params != icall->args.size())
+            if (callee.num_params != icall->operand_count)
                 continue;
             candidates.push_back({site, target, count});
             audit.total_weight += count;
@@ -321,7 +322,7 @@ planIcp(const ir::Module& module, const profile::EdgeProfile& profile,
             bool safe = true;
             for (ir::FuncId t : feas->targets) {
                 if (t >= module.numFunctions() ||
-                    module.func(t).num_params != icall->args.size()) {
+                    module.func(t).num_params != icall->operand_count) {
                     safe = false;
                     break;
                 }

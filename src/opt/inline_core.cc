@@ -1,6 +1,7 @@
 #include "opt/inline_core.h"
 
 #include <iterator>
+#include <span>
 
 namespace pibe::opt {
 
@@ -89,7 +90,9 @@ inlineCallSite(ir::Module& module, ir::FuncId caller, ir::SiteId site)
     }
 
     // 2. Copy the callee's blocks, remapping registers, frame slots,
-    //    branch targets, and site ids.
+    //    branch targets, and site ids. Operand lists are appended to
+    //    the caller's pool and remapped there; appending may move the
+    //    pool, so no span into it is held across this step.
     const ir::BlockId block_base =
         static_cast<ir::BlockId>(caller_f.blocks.size());
     for (const ir::BasicBlock& src_bb : callee_f.blocks) {
@@ -100,8 +103,6 @@ inlineCallSite(ir::Module& module, ir::FuncId caller, ir::SiteId site)
             inst.dst = remapReg(inst.dst, reg_base);
             inst.a = remapReg(inst.a, reg_base);
             inst.b = remapReg(inst.b, reg_base);
-            for (ir::Reg& r : inst.args)
-                r = remapReg(r, reg_base);
             switch (inst.op) {
               case ir::Opcode::kFrameLoad:
               case ir::Opcode::kFrameStore:
@@ -116,11 +117,15 @@ inlineCallSite(ir::Module& module, ir::FuncId caller, ir::SiteId site)
                 break;
               case ir::Opcode::kSwitch:
                 inst.t0 += block_base;
-                for (ir::BlockId& t : inst.case_targets)
-                    t += block_base;
+                caller_f.setCases(inst, callee_f.cases(src));
+                for (ir::SwitchCase& c : caller_f.cases(inst))
+                    c.target += block_base;
                 break;
               case ir::Opcode::kCall:
               case ir::Opcode::kICall: {
+                caller_f.setArgs(inst, callee_f.args(src));
+                for (ir::Reg& r : caller_f.args(inst))
+                    r = remapReg(r, reg_base);
                 const bool indirect = inst.op == ir::Opcode::kICall;
                 ir::SiteId fresh = module.allocSiteId();
                 outcome.inherited.push_back(
@@ -159,14 +164,17 @@ inlineCallSite(ir::Module& module, ir::FuncId caller, ir::SiteId site)
 
     // 3. Bind arguments and enter the inlined body. Parameters occupy
     //    callee registers [0, num_params), i.e. caller registers
-    //    [reg_base, reg_base + num_params).
+    //    [reg_base, reg_base + num_params). The call's arguments are
+    //    read from the pool as it stands after step 2; its range is
+    //    dead from here on.
     {
         auto& insts = caller_f.blocks[call_bb].insts;
+        const std::span<const ir::Reg> call_args = caller_f.args(call);
         for (uint32_t p = 0; p < callee_f.num_params; ++p) {
             ir::Instruction mv;
             mv.op = ir::Opcode::kMove;
             mv.dst = reg_base + p;
-            mv.a = call.args[p];
+            mv.a = call_args[p];
             insts.push_back(mv);
         }
         ir::Instruction br;

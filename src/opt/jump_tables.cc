@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "support/logging.h"
@@ -10,12 +11,6 @@ namespace pibe::opt {
 
 namespace {
 
-struct Case
-{
-    int64_t value;
-    ir::BlockId target;
-};
-
 /**
  * Emit a compare tree for cases[lo, hi) into block `bb` of `f`.
  * The block is filled with compares/branches; subtree blocks are
@@ -23,7 +18,7 @@ struct Case
  */
 void
 emitTree(ir::Function& f, ir::BlockId bb, ir::Reg value,
-         const std::vector<Case>& cases, size_t lo, size_t hi,
+         const std::vector<ir::SwitchCase>& cases, size_t lo, size_t hi,
          ir::BlockId default_target, uint32_t linear_limit)
 {
     auto& insts = f.blocks[bb].insts;
@@ -113,16 +108,15 @@ lowerJumpTablesInFunction(ir::Function& f, uint32_t linear_limit)
     for (size_t b = 0; b < original_blocks; ++b) {
         if (f.blocks[b].insts.empty())
             continue;
-        ir::Instruction term = f.blocks[b].insts.back();
+        const ir::Instruction term = f.blocks[b].insts.back();
         if (term.op != ir::Opcode::kSwitch || term.is_asm)
             continue;
-        // Sort cases by value so the binary search is well-formed.
-        std::vector<Case> cases;
-        cases.reserve(term.case_values.size());
-        for (size_t c = 0; c < term.case_values.size(); ++c)
-            cases.push_back({term.case_values[c], term.case_targets[c]});
+        // Sort cases by value so the binary search is well-formed. The
+        // switch's pool range is dead once it is lowered.
+        const std::span<const ir::SwitchCase> arms = f.cases(term);
+        std::vector<ir::SwitchCase> cases(arms.begin(), arms.end());
         std::sort(cases.begin(), cases.end(),
-                  [](const Case& x, const Case& y) {
+                  [](const ir::SwitchCase& x, const ir::SwitchCase& y) {
                       return x.value < y.value;
                   });
 

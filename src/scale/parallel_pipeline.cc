@@ -1,5 +1,7 @@
 #include "scale/parallel_pipeline.h"
 
+#include <span>
+
 #include "runtime/digest.h"
 
 namespace pibe::scale {
@@ -29,14 +31,19 @@ moduleDigest(const ir::Module& module)
                 d.add(inst.global);
                 d.add(inst.t0);
                 d.add(inst.t1);
-                d.add(static_cast<uint64_t>(inst.args.size()));
-                for (ir::Reg r : inst.args)
+                // Arguments, then case values, then case targets:
+                // recorded digests depend on this order.
+                const std::span<const ir::Reg> args = f.args(inst);
+                d.add(static_cast<uint64_t>(args.size()));
+                for (ir::Reg r : args)
                     d.add(r);
-                d.add(static_cast<uint64_t>(inst.case_values.size()));
-                for (int64_t v : inst.case_values)
-                    d.add(v);
-                for (ir::BlockId t : inst.case_targets)
-                    d.add(t);
+                const std::span<const ir::SwitchCase> cases =
+                    f.cases(inst);
+                d.add(static_cast<uint64_t>(cases.size()));
+                for (const ir::SwitchCase& c : cases)
+                    d.add(c.value);
+                for (const ir::SwitchCase& c : cases)
+                    d.add(c.target);
                 d.add(inst.site_id);
                 d.add(static_cast<uint32_t>(inst.fwd_scheme));
                 d.add(static_cast<uint32_t>(inst.ret_scheme));

@@ -479,24 +479,21 @@ class Builder
         emitConst(fs, fs.cst, mask);
         emitBin(fs, ir::BinKind::kAnd, fs.s0, fs.acc, fs.cst);
 
-        std::vector<ir::BlockId> arms(cases);
+        std::vector<ir::SwitchCase> arms(cases);
         for (uint32_t c = 0; c < cases; ++c)
-            arms[c] = newBlock(fs);
+            arms[c] = {c, newBlock(fs)};
         const ir::BlockId join = newBlock(fs);
 
         ir::Instruction sw;
         sw.op = ir::Opcode::kSwitch;
         sw.a = fs.s0;
         sw.t0 = join; // default
-        for (uint32_t c = 0; c < cases; ++c) {
-            sw.case_values.push_back(c);
-            sw.case_targets.push_back(arms[c]);
-        }
+        fs.f->setCases(sw, arms);
         push(fs, sw);
         ++stats_.switch_sites;
 
         for (uint32_t c = 0; c < cases; ++c)
-            emitArm(fs, arms[c], join);
+            emitArm(fs, arms[c].target, join);
         fs.cur = join;
     }
 
@@ -511,10 +508,12 @@ class Builder
         call.callee = callee;
         // First arg carries the accumulator; the rest reuse the
         // caller's own parameters where it has enough.
+        args_.clear();
         for (uint32_t p = 0; p < target.num_params; ++p)
-            call.args.push_back(p == 0 || p > fs.f->num_params
-                                    ? fs.acc
-                                    : static_cast<ir::Reg>(p - 1));
+            args_.push_back(p == 0 || p > fs.f->num_params
+                                ? fs.acc
+                                : static_cast<ir::Reg>(p - 1));
+        fs.f->setArgs(call, args_);
         call.site_id = module_.allocSiteId();
         push(fs, call);
         emitBin(fs, ir::BinKind::kXor, fs.acc, fs.acc, fs.s1);
@@ -538,8 +537,8 @@ class Builder
         icall.op = ir::Opcode::kICall;
         icall.dst = fs.s1;
         icall.a = fs.fptr;
-        for (uint32_t p = 0; p < tab.arity; ++p)
-            icall.args.push_back(fs.acc);
+        args_.assign(tab.arity, fs.acc);
+        fs.f->setArgs(icall, args_);
         icall.site_id = module_.allocSiteId();
         icall.is_asm = rng_.chance(cfg_.asm_site_fraction);
         if (icall.is_asm)
@@ -621,7 +620,9 @@ class Builder
         icall.op = ir::Opcode::kICall;
         icall.dst = fs.s1;
         icall.a = fs.fptr;
-        icall.args = {1, 2, 3}; // entry arity is 3 by construction
+        // Entry arity is 3 by construction.
+        const ir::Reg entry_args[] = {1, 2, 3};
+        fs.f->setArgs(icall, entry_args);
         icall.site_id = module_.allocSiteId();
         push(fs, icall);
         ++stats_.icall_sites;
@@ -684,6 +685,7 @@ class Builder
     std::vector<FuncPlan> plans_;
     std::vector<TablePlan> tables_;
     std::vector<ir::FuncId> entries_;
+    std::vector<ir::Reg> args_; ///< Reused argument list of one call.
 
     ir::GlobalId mem_ = 0;
     ir::GlobalId systable_ = 0;

@@ -235,7 +235,7 @@ synthesizeProfile(const ir::Module& module,
                             if (t >= n || pos[t] <= i)
                                 continue;
                             if (module.func(t).num_params !=
-                                inst.args.size())
+                                inst.operand_count)
                                 continue;
                             if (std::find(targets.begin(),
                                           targets.end(),
@@ -247,7 +247,7 @@ synthesizeProfile(const ir::Module& module,
                         // Fallback: rotated window of the arity-
                         // matched address-taken pool.
                         auto it = pool_by_arity.find(
-                            static_cast<uint32_t>(inst.args.size()));
+                            inst.operand_count);
                         if (it == pool_by_arity.end())
                             continue;
                         const auto& pool = it->second;

@@ -1,6 +1,7 @@
 #include "uarch/decoded_module.h"
 
 #include <algorithm>
+#include <span>
 
 namespace pibe::uarch {
 
@@ -145,7 +146,7 @@ DecodedModule::DecodedModule(const ir::Module& module, bool fuse)
                   case ir::Opcode::kCall: {
                     const ir::Function& callee =
                         module.func(inst.callee);
-                    PIBE_ASSERT(inst.args.size() == callee.num_params,
+                    PIBE_ASSERT(inst.operand_count == callee.num_params,
                                 "call arity mismatch for ",
                                 callee.name, " in ", f.name);
                     d.callee_is_decl = callee.isDeclaration();
@@ -177,10 +178,9 @@ DecodedModule::DecodedModule(const ir::Module& module, bool fuse)
                     // occurrence of a duplicate value (the linear
                     // scan's first-match semantics).
                     std::vector<SwitchCase> cases;
-                    cases.reserve(inst.case_values.size());
-                    for (size_t c = 0; c < inst.case_values.size();
-                         ++c) {
-                        const int64_t v = inst.case_values[c];
+                    cases.reserve(inst.operand_count);
+                    for (const ir::SwitchCase& arm : f.cases(inst)) {
+                        const int64_t v = arm.value;
                         const bool seen = std::any_of(
                             cases.begin(), cases.end(),
                             [v](const SwitchCase& sc) {
@@ -188,8 +188,7 @@ DecodedModule::DecodedModule(const ir::Module& module, bool fuse)
                             });
                         if (!seen) {
                             cases.push_back(
-                                {v, target_base[f.id] +
-                                        inst.case_targets[c]});
+                                {v, target_base[f.id] + arm.target});
                         }
                     }
                     std::sort(cases.begin(), cases.end(),
@@ -237,14 +236,13 @@ DecodedModule::DecodedModule(const ir::Module& module, bool fuse)
                     break;
                 }
 
-                if (!inst.args.empty()) {
+                const std::span<const ir::Reg> args = f.args(inst);
+                if (!args.empty()) {
                     x.args_begin =
                         static_cast<uint32_t>(args_pool_.size());
-                    x.args_count =
-                        static_cast<uint32_t>(inst.args.size());
-                    args_pool_.insert(args_pool_.end(),
-                                      inst.args.begin(),
-                                      inst.args.end());
+                    x.args_count = static_cast<uint32_t>(args.size());
+                    args_pool_.insert(args_pool_.end(), args.begin(),
+                                      args.end());
                 }
 
                 code_.push_back(d);

@@ -178,8 +178,7 @@ Simulator::runReference(ir::FuncId entry,
             if (timing_) {
                 stats_.cycles +=
                     params_.cost_dcall +
-                    params_.cost_arg *
-                        static_cast<uint32_t>(inst.args.size());
+                    params_.cost_arg * inst.operand_count;
             }
             ++act.ip; // resume after the call upon return
             if (callee.isDeclaration()) {
@@ -193,8 +192,8 @@ Simulator::runReference(ir::FuncId entry,
             }
             rsb_.push(next_addr);
             std::vector<int64_t> call_args;
-            call_args.reserve(inst.args.size());
-            for (ir::Reg r : inst.args)
+            call_args.reserve(inst.operand_count);
+            for (ir::Reg r : f.args(inst))
                 call_args.push_back(act.regs[r]);
             enterFunction(inst.callee, call_args, inst.dst, next_addr);
             break;
@@ -211,7 +210,7 @@ Simulator::runReference(ir::FuncId entry,
                 PIBE_FATAL("indirect call to unknown function in ",
                            f.name);
             const ir::Function& callee = module_.func(target);
-            if (callee.num_params != inst.args.size()) {
+            if (callee.num_params != inst.operand_count) {
                 PIBE_FATAL("indirect call arity mismatch: ", f.name,
                            " -> ", callee.name);
             }
@@ -232,8 +231,7 @@ Simulator::runReference(ir::FuncId entry,
                                      layout.funcBase(target), target,
                                      inst.fwd_scheme,
                                      decoded_->jsSlotOf(inst.site_id)) +
-                    params_.cost_arg *
-                        static_cast<uint32_t>(inst.args.size());
+                    params_.cost_arg * inst.operand_count;
             }
             ++act.ip;
             if (callee.isDeclaration()) {
@@ -247,8 +245,8 @@ Simulator::runReference(ir::FuncId entry,
             }
             rsb_.push(next_addr);
             std::vector<int64_t> call_args;
-            call_args.reserve(inst.args.size());
-            for (ir::Reg r : inst.args)
+            call_args.reserve(inst.operand_count);
+            for (ir::Reg r : f.args(inst))
                 call_args.push_back(act.regs[r]);
             enterFunction(target, call_args, inst.dst, next_addr);
             break;
@@ -303,9 +301,9 @@ Simulator::runReference(ir::FuncId entry,
             ++stats_.switches;
             const int64_t value = act.regs[inst.a];
             ir::BlockId target = inst.t0;
-            for (size_t c = 0; c < inst.case_values.size(); ++c) {
-                if (inst.case_values[c] == value) {
-                    target = inst.case_targets[c];
+            for (const ir::SwitchCase& c : f.cases(inst)) {
+                if (c.value == value) {
+                    target = c.target;
                     break;
                 }
             }

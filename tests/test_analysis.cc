@@ -127,11 +127,10 @@ TEST(InlineCost, PerInstructionCosts)
     EXPECT_EQ(analysis::instructionCost(i), 5);
     // Paper: a nested call costs 5 + 5 * num_args.
     i.op = ir::Opcode::kCall;
-    i.args = {0, 1, 2};
+    i.operand_count = 3; // three arguments
     EXPECT_EQ(analysis::instructionCost(i), 20);
     i.op = ir::Opcode::kSwitch;
-    i.args.clear();
-    i.case_values = {1, 2, 3, 4};
+    i.operand_count = 4; // four cases
     EXPECT_EQ(analysis::instructionCost(i), 13);
 }
 

@@ -453,7 +453,7 @@ switchModule(const std::vector<std::pair<int64_t, int64_t>>& cases)
     ir::Module m;
     ir::FuncId f = m.addFunction("dispatch", 1);
     ir::FunctionBuilder b(m, f);
-    std::vector<std::pair<int64_t, ir::BlockId>> arms;
+    std::vector<ir::SwitchCase> arms;
     std::vector<std::pair<ir::BlockId, int64_t>> returns;
     for (const auto& [value, result] : cases) {
         ir::BlockId bb = b.newBlock();

@@ -1,8 +1,13 @@
 /** @file Tests for the inlining transformation mechanics. */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ir/builder.h"
+#include "ir/parser.h"
+#include "ir/printer.h"
 #include "opt/inline_core.h"
+#include "runtime/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace pibe {
@@ -316,6 +321,121 @@ TEST_P(InlineCoreProperty, ExhaustiveInliningPreservesSemantics)
     }
     auto after = test::runScript(m, main, test::argMatrix());
     EXPECT_EQ(before, after);
+}
+
+// ---------------------------------------------------------------------
+// Operand pool growth. Inlining appends the callee's argument and case
+// lists to the caller's pool; when that pool is full the append moves
+// it, and a span held across the append (the call's own arguments are
+// read after the callee's operands went in) would read freed memory.
+// Under ASan that is a use-after-free, so this test runs there; it
+// also parses its module on several threads (the filler functions put
+// the parse above runtime::kInstsPerHelper), which the TSan job runs.
+
+/** A callee with calls, icalls, a switch and a frame slot, a caller
+ *  that calls it between two other calls, and filler functions. */
+std::string
+poolGrowthText(uint32_t filler_funcs, uint32_t calls_per_filler)
+{
+    std::string text =
+        "func @leaf(params=2, regs=3, frame=0) {\n"
+        "bb0:\n"
+        "    r2 = add r0, r1\n"
+        "    ret r2 !site 0\n"
+        "}\n"
+        "func @callee(params=2, regs=8, frame=1) {\n"
+        "bb0:\n"
+        "    frame[0] = r1\n"
+        "    r2 = call @leaf(r0, r1) !site 1\n"
+        "    r3 = funcaddr @leaf\n"
+        "    r4 = icall r3(r2, r0) !retpoline !site 2\n"
+        "    switch r4 default bb3, 0->bb1, 1->bb2, 7->bb1, -5->bb3\n"
+        "bb1:\n"
+        "    r5 = call @leaf(r4, r1) !site 3\n"
+        "    ret r5 !site 4\n"
+        "bb2:\n"
+        "    r6 = icall r3(r1, r1) !site 5\n"
+        "    r7 = frame[0]\n"
+        "    r6 = call @leaf(r6, r7) !site 6\n"
+        "    ret r6 !site 7\n"
+        "bb3:\n"
+        "    ret r0 !site 8\n"
+        "}\n"
+        "func @caller(params=2, regs=4, frame=0) {\n"
+        "bb0:\n"
+        "    r2 = call @leaf(r0, r1) !site 9\n"
+        "    r3 = call @callee(r1, r2) !site 10\n"
+        "    r3 = call @leaf(r3, r2) !site 11\n"
+        "    ret r3 !site 12\n"
+        "}\n";
+    uint32_t site = 13;
+    for (uint32_t f = 0; f < filler_funcs; ++f) {
+        text += "func @fill" + std::to_string(f) +
+                "(params=2, regs=3, frame=0) {\nbb0:\n";
+        for (uint32_t c = 0; c < calls_per_filler; ++c)
+            text += "    r2 = call @leaf(r" + std::to_string(c % 2) +
+                    ", r2) !site " + std::to_string(site++) + "\n";
+        text += "    ret r2 !site " + std::to_string(site++) + "\n}\n";
+    }
+    return text;
+}
+
+TEST(OperandPool, InlineReallocatesCallerPoolMidInline)
+{
+    // 160 x 1000 filler calls: the parse runs on more than one thread.
+    const uint32_t filler_funcs = 160;
+    const uint32_t calls = 1000;
+    ASSERT_GT(filler_funcs * calls, 2 * runtime::kInstsPerHelper);
+    const std::string text = poolGrowthText(filler_funcs, calls);
+    Module m = ir::parseModule(text);
+    ASSERT_EQ(ir::printModule(m), text); // pools filled in parallel
+    const ir::FuncId caller = m.findFunction("caller");
+    ir::Function& f = m.func(caller);
+    f.operands.args.shrink_to_fit();
+    f.operands.cases.shrink_to_fit();
+    const size_t args_capacity = f.operands.args.capacity();
+    ASSERT_EQ(args_capacity, f.operands.args.size());
+    ASSERT_EQ(f.operands.cases.capacity(), 0u);
+
+    auto outcome = opt::inlineCallSite(m, caller, 10);
+    ASSERT_TRUE(outcome.ok) << outcome.reason;
+    EXPECT_TRUE(test::verifies(m));
+    // The callee's lists did not fit: the pool moved mid-inline.
+    EXPECT_GT(f.operands.args.size(), args_capacity);
+    EXPECT_EQ(f.operands.cases.size(), 4u);
+    // The text the inliner printed before operands moved to a pool
+    // (fresh site ids follow the filler's).
+    EXPECT_EQ(ir::printFunction(m, f),
+              "func @caller(params=2, regs=12, frame=1) {\n"
+              "bb0:\n"
+              "    r2 = call @leaf(r0, r1) !site 9\n"
+              "    r4 = move r1\n"
+              "    r5 = move r2\n"
+              "    br bb2\n"
+              "bb1:\n"
+              "    r3 = call @leaf(r3, r2) !site 11\n"
+              "    ret r3 !site 12\n"
+              "bb2:\n"
+              "    frame[0] = r5\n"
+              "    r6 = call @leaf(r4, r5) !site 160173\n"
+              "    r7 = funcaddr @leaf\n"
+              "    r8 = icall r7(r6, r4) !retpoline !site 160174\n"
+              "    switch r8 default bb5, 0->bb3, 1->bb4, 7->bb3, "
+              "-5->bb5\n"
+              "bb3:\n"
+              "    r9 = call @leaf(r8, r5) !site 160175\n"
+              "    r3 = move r9\n"
+              "    br bb1\n"
+              "bb4:\n"
+              "    r10 = icall r7(r5, r5) !site 160176\n"
+              "    r11 = frame[0]\n"
+              "    r10 = call @leaf(r10, r11) !site 160177\n"
+              "    r3 = move r10\n"
+              "    br bb1\n"
+              "bb5:\n"
+              "    r3 = move r4\n"
+              "    br bb1\n"
+              "}\n");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InlineCoreProperty,

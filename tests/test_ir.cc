@@ -184,29 +184,98 @@ TEST(Verifier, CatchesBadBranchTarget)
 
 TEST(Verifier, CatchesCallArityMismatch)
 {
+    // One argument too few, then one too many, for a two-parameter
+    // callee.
+    const std::vector<ir::Reg> arg_lists[] = {{0}, {0, 0, 0}};
+    for (const std::vector<ir::Reg>& args : arg_lists) {
+        SCOPED_TRACE(args.size());
+        Module m;
+        ir::FuncId callee = m.addFunction("callee", 2);
+        {
+            FunctionBuilder b(m, callee);
+            b.ret(b.param(0));
+        }
+        ir::FuncId f = m.addFunction("f", 0);
+        m.func(f).blocks.emplace_back();
+        ir::Instruction call;
+        call.op = Opcode::kCall;
+        call.callee = callee;
+        call.dst = 0;
+        call.site_id = m.allocSiteId();
+        m.func(f).setArgs(call, args);
+        m.func(f).num_regs = 1;
+        ir::Instruction ret;
+        ret.op = Opcode::kRet;
+        ret.site_id = m.allocSiteId();
+        m.func(f).blocks[0].insts = {call, ret};
+        auto problems = ir::verifyFunction(m, m.func(f));
+        ASSERT_EQ(problems.size(), 1u);
+        EXPECT_EQ(problems[0], "f bb0[0]: call to callee with " +
+                                   std::to_string(args.size()) +
+                                   " args, expected 2");
+    }
+}
+
+/** f(p0) { r1 = call @callee(p0) ; ret r1 } with a one-param callee:
+ *  a well-formed start for the operand-range cases below. */
+Module
+callModule()
+{
     Module m;
-    ir::FuncId callee = m.addFunction("callee", 2);
+    ir::FuncId callee = m.addFunction("callee", 1);
     {
         FunctionBuilder b(m, callee);
         b.ret(b.param(0));
     }
-    ir::FuncId f = m.addFunction("f", 0);
-    m.func(f).blocks.emplace_back();
-    ir::Instruction call;
-    call.op = Opcode::kCall;
-    call.callee = callee;
-    call.dst = 0;
-    call.site_id = m.allocSiteId();
-    // Only one argument for a two-parameter callee.
-    call.args = {0};
-    m.func(f).num_regs = 1;
-    ir::Instruction ret;
-    ret.op = Opcode::kRet;
-    ret.site_id = m.allocSiteId();
-    m.func(f).blocks[0].insts = {call, ret};
-    auto problems = ir::verifyFunction(m, m.func(f));
-    ASSERT_FALSE(problems.empty());
-    EXPECT_NE(problems[0].find("args"), std::string::npos);
+    ir::FuncId f = m.addFunction("f", 1);
+    {
+        FunctionBuilder b(m, f);
+        b.ret(b.call(callee, {b.param(0)}));
+    }
+    return m;
+}
+
+TEST(Verifier, CatchesCallRangeLeavingThePool)
+{
+    Module m = callModule();
+    ir::Function& f = m.func(1);
+    ASSERT_EQ(f.operands.args.size(), 1u);
+    ir::Instruction& call = f.blocks[0].insts[0];
+    call.operand_offset = 1; // [1, 2) of a one-entry pool
+    auto problems = ir::verifyFunction(m, f);
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_EQ(problems[0], "f bb0[0]: operand range [1, 2) leaves the "
+                           "function's pool of 1");
+}
+
+TEST(Verifier, CatchesSwitchRangeLeavingThePool)
+{
+    Module m;
+    ir::FuncId fid = m.addFunction("sw", 1);
+    FunctionBuilder b(m, fid);
+    ir::BlockId d = b.newBlock();
+    b.switchOn(b.param(0), d, {{1, d}, {2, d}});
+    b.setBlock(d);
+    b.ret();
+    ir::Function& f = m.func(fid);
+    f.blocks[0].insts.back().operand_count = 3; // two cases in the pool
+    auto problems = ir::verifyFunction(m, f);
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_EQ(problems[0], "sw bb0[0]: operand range [0, 3) leaves the "
+                           "function's pool of 2");
+}
+
+TEST(Verifier, CatchesOperandCountOnListlessOpcode)
+{
+    Module m = callModule();
+    ir::Function& f = m.func(1);
+    ir::Instruction& ret = f.blocks[0].insts.back();
+    ASSERT_EQ(ret.op, Opcode::kRet);
+    ret.operand_count = 1; // in the pool's bounds, but ret takes no list
+    auto problems = ir::verifyFunction(m, f);
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_EQ(problems[0], "f bb0[1]: operand count 1 on an opcode that "
+                           "takes no operand list");
 }
 
 TEST(Verifier, CatchesDuplicateSiteIds)

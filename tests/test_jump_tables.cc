@@ -20,12 +20,12 @@ makeSwitchFunction(Module& m, const std::string& name, int num_cases,
     ir::FuncId f = m.addFunction(name, 1);
     FunctionBuilder b(m, f);
     ir::BlockId d = b.newBlock();
-    std::vector<std::pair<int64_t, ir::BlockId>> cases;
+    std::vector<ir::SwitchCase> cases;
     for (int c = 0; c < num_cases; ++c)
         cases.push_back({c * 3, b.newBlock()}); // sparse values
     b.switchOn(b.param(0), d, cases, is_asm);
     for (int c = 0; c < num_cases; ++c) {
-        b.setBlock(cases[c].second);
+        b.setBlock(cases[c].target);
         b.ret(b.constI(100 + c));
     }
     b.setBlock(d);

@@ -204,7 +204,7 @@ TEST(Printer, PiecesAreSlicesOfTheModuleText)
             line = func.find('\n', line) + 1; // the block label
             for (const ir::Instruction& inst : bb.insts) {
                 const std::string want =
-                    "    " + ir::printInstruction(m, inst) + "\n";
+                    "    " + ir::printInstruction(m, f, inst) + "\n";
                 ASSERT_EQ(func.compare(line, want.size(), want), 0)
                     << f.name;
                 line += want.size();

@@ -22,6 +22,15 @@
 # peak-window throughput, so this only guards against
 # order-of-magnitude blow-ups; tighten the margin locally when
 # comparing against a baseline regenerated on the same idle box).
+# Memory gate: the 10^5 row's peak RSS (maxrss_kb, one forked child
+# per size) must not exceed the baseline's by more than a fixed 1.2x.
+# Unlike wall time, peak RSS follows the data layout and the
+# pipeline's live copies, not the machine's speed: over 10 runs on the
+# machine that recorded the baseline it spread 0.8% where the build
+# time spread 43%, and an ir::Instruction padded back to 120 bytes
+# read 1.6x the baseline. Whether the margin also holds on a CI runner
+# with a different libc, libstdc++ or malloc arena count is not yet
+# verified; at 10^5 it is only about 5 MB.
 #
 # The 10% margin absorbs run-to-run noise on shared CI runners (the
 # interpreter benchmark already reports a peak window, which removes
@@ -43,7 +52,9 @@ if [ "$MODE" = "scale" ]; then
     python3 - "$NEW" "$BASELINE" "$MARGIN" <<'EOF'
 import json, sys
 
-new_path, base_path, margin = sys.argv[1], sys.argv[2], float(sys.argv[3])
+new_path, base_path = sys.argv[1], sys.argv[2]
+margin = float(sys.argv[3])
+RSS_MARGIN = 1.2
 
 def load(path):
     with open(path) as f:
@@ -77,10 +88,24 @@ ceiling = base_ms * margin
 print(f"build_ms @ 10^5: measured {new_ms:.0f}, "
       f"baseline {base_ms:.0f}, ceiling {ceiling:.0f} "
       f"({margin:.0%} of baseline)")
+failed = False
 if new_ms > ceiling:
     print("FAIL: pipeline build time regressed "
           f"{new_ms / base_ms - 1:.1%} above the checked-in baseline",
           file=sys.stderr)
+    failed = True
+
+new_kb = row_at(new_doc, GATE_INSTS)["maxrss_kb"]
+base_kb = row_at(base_doc, GATE_INSTS)["maxrss_kb"]
+rss_ceiling = base_kb * RSS_MARGIN
+print(f"maxrss_kb @ 10^5: measured {new_kb}, baseline {base_kb}, "
+      f"ceiling {rss_ceiling:.0f} ({RSS_MARGIN:.0%} of baseline)")
+if new_kb > rss_ceiling:
+    print("FAIL: peak RSS grew "
+          f"{new_kb / base_kb - 1:.1%} above the checked-in baseline",
+          file=sys.stderr)
+    failed = True
+if failed:
     sys.exit(1)
 print("OK")
 EOF
