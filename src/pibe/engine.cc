@@ -255,16 +255,15 @@ collectLmbenchProfile(const ir::Module& kernel,
         {"tcp", 4},          {"mmap", 3},       {"page_fault", 8},
         {"sig_install", 12}, {"sig_dispatch", 8},
     };
-    profile::EdgeProfile merged;
-    for (auto& wl : workload::makeLmbenchSuite()) {
-        std::vector<std::unique_ptr<workload::Workload>> one;
-        one.push_back(workload::makeLmbenchTest(wl->name()));
+    const auto suite = workload::makeLmbenchSuite();
+    std::vector<ProfileRun> runs;
+    for (const auto& wl : suite) {
         const uint32_t iters = std::max<uint32_t>(
             1, static_cast<uint32_t>(base_iters *
                                      kItersScale.at(wl->name())));
-        merged.merge(collectProfile(kernel, info, one, iters));
+        runs.push_back({wl.get(), iters});
     }
-    return merged;
+    return collectProfileRuns(kernel, info, runs);
 }
 
 std::string
@@ -393,7 +392,7 @@ imageTextCached(const std::string& kernel_text,
 
 Measurement
 measureWorkloadCached(const ArtifactDigest& image_digest,
-                      std::shared_ptr<const uarch::DecodedModule> decoded,
+                      const uarch::Simulator& booted,
                       const kernel::KernelInfo& info,
                       const std::string& workload_name,
                       const MeasureConfig& config,
@@ -417,8 +416,7 @@ measureWorkloadCached(const ArtifactDigest& image_digest,
         }
     }
     auto wl = makeWorkloadByName(workload_name);
-    Measurement m =
-        measureWorkload(std::move(decoded), info, *wl, config);
+    Measurement m = measureWorkload(booted, info, *wl, config);
     if (cache)
         cache->put(d.hex(), serializeMeasurement(m));
     return m;
@@ -432,9 +430,10 @@ measureWorkloadCached(const std::string& image_text,
                       const MeasureConfig& config,
                       runtime::ArtifactCache* cache)
 {
-    return measureWorkloadCached(ArtifactDigest::of(image_text),
-                                 std::move(decoded), info, workload_name,
-                                 config, cache);
+    return measureWorkloadCached(
+        ArtifactDigest::of(image_text),
+        *bootImage(std::move(decoded), info, config.params), info,
+        workload_name, config, cache);
 }
 
 // ---------------------------------------------------------------------
@@ -471,9 +470,9 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
         ArtifactDigest digest;
         std::unique_ptr<ir::Module> module;
         kernel::KernelInfo info;
-        /** Decoded once in the image job, shared by every measurement
-         *  job on this image (decode cost is per image, not per run). */
-        std::shared_ptr<const uarch::DecodedModule> decoded;
+        /** Decoded and booted once in the image job; every measurement
+         *  job on this image runs on a copy of it. */
+        std::unique_ptr<const uarch::Simulator> booted;
     };
     // Pre-create every slot so parallel jobs never mutate map
     // structure, only their own entries.
@@ -533,9 +532,10 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
                     std::make_unique<ir::Module>(ir::parseModule(text));
                 slot->info =
                     kernel::kernelInfoFromModule(*slot->module);
-                slot->decoded =
+                slot->booted = bootImage(
                     std::make_shared<const uarch::DecodedModule>(
-                        *slot->module);
+                        *slot->module),
+                    slot->info, plan.measure.params);
             },
             {profile_job});
     }
@@ -547,7 +547,7 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
              out = &results.measurements.at(run.image).at(run.workload)](
                 const runtime::JobContext&) {
                 *out = measureWorkloadCached(
-                    img->digest, img->decoded, img->info, run.workload,
+                    img->digest, *img->booted, img->info, run.workload,
                     plan.measure, opts.use_cache ? &cache : nullptr);
             },
             {image_jobs.at(run.image)});

@@ -207,21 +207,23 @@ std::string imageTextCached(const std::string& kernel_text,
  * One cached measurement. Key = (decoded-stream format version, image
  * digest, workload name, MeasureConfig incl. cost params); value = the
  * serialized Measurement, doubles stored as bit patterns so a hit
- * reproduces the computed result exactly. `decoded` is the pre-decoded
- * image (decode once, pass to every measurement of the same image).
- * `workload_name` is an LMBench test name or "nginx" / "apache" /
- * "dbench". `cache` may be null (no memoization). A cached artifact
- * that does not parse is a miss: it is counted in CacheStats::corrupt,
- * and the measurement is recomputed and put over it. Shared by
- * runExperiments() and `pibe measure --jobs`.
+ * reproduces the computed result exactly. A miss measures on a copy of
+ * `booted`, the image's prototype from bootImage() with
+ * `config.params` (decode and boot once, pass to every measurement of
+ * the same image). `workload_name` is an LMBench test name or "nginx" /
+ * "apache" / "dbench". `cache` may be null (no memoization). A cached
+ * artifact that does not parse is a miss: it is counted in
+ * CacheStats::corrupt, and the measurement is recomputed and put over
+ * it. Shared by runExperiments(), serve and `pibe measure --jobs`.
  */
 Measurement
 measureWorkloadCached(const ArtifactDigest& image_digest,
-                      std::shared_ptr<const uarch::DecodedModule> decoded,
+                      const uarch::Simulator& booted,
                       const kernel::KernelInfo& info,
                       const std::string& workload_name,
                       const MeasureConfig& config,
                       runtime::ArtifactCache* cache);
+/** Same, keyed by the image's text, booting `decoded` first. */
 Measurement
 measureWorkloadCached(const std::string& image_text,
                       std::shared_ptr<const uarch::DecodedModule> decoded,

@@ -36,6 +36,26 @@ measureOnBooted(uarch::Simulator& sim, const kernel::KernelInfo& info,
 
 } // namespace
 
+std::unique_ptr<const uarch::Simulator>
+bootImage(std::shared_ptr<const uarch::DecodedModule> decoded,
+          const kernel::KernelInfo& info, const uarch::CostParams& params)
+{
+    auto sim = std::make_unique<uarch::Simulator>(std::move(decoded), params);
+    workload::KernelHandle(*sim, info).boot();
+    return sim;
+}
+
+Measurement
+measureWorkload(const uarch::Simulator& booted,
+                const kernel::KernelInfo& info, workload::Workload& wl,
+                const MeasureConfig& config)
+{
+    PIBE_ASSERT(booted.params() == config.params,
+                "prototype booted with other cost params than measured");
+    uarch::Simulator sim(booted);
+    return measureOnBooted(sim, info, wl, config);
+}
+
 Measurement
 measureWorkload(const ir::Module& image, const kernel::KernelInfo& info,
                 workload::Workload& wl, const MeasureConfig& config)
@@ -50,43 +70,43 @@ measureWorkload(std::shared_ptr<const uarch::DecodedModule> decoded,
                 const kernel::KernelInfo& info, workload::Workload& wl,
                 const MeasureConfig& config)
 {
-    uarch::Simulator sim(std::move(decoded), config.params);
-    workload::KernelHandle handle(sim, info);
-    handle.boot();
-    return measureOnBooted(sim, info, wl, config);
+    return measureWorkload(
+        *bootImage(std::move(decoded), info, config.params), info, wl,
+        config);
 }
 
-std::map<std::string, Measurement>
-measureSuite(const ir::Module& image, const kernel::KernelInfo& info,
-             std::span<const std::unique_ptr<workload::Workload>> suite,
-             const MeasureConfig& config)
+profile::EdgeProfile
+collectProfileRuns(const ir::Module& linked,
+                   const kernel::KernelInfo& info,
+                   std::span<const ProfileRun> runs, uint32_t repeats)
 {
-    std::map<std::string, Measurement> results;
-    // Decode once for the whole suite: stateful workloads get a fresh
-    // boot on the shared decoded image, stateless ones also share one
-    // booted simulator.
-    const auto decoded =
-        std::make_shared<const uarch::DecodedModule>(image);
-    std::unique_ptr<uarch::Simulator> shared;
-    for (const auto& wl : suite) {
-        if (wl->hasCrossTestState()) {
-            results[wl->name()] =
-                measureWorkload(decoded, info, *wl, config);
-            continue;
+    // The boot's own edges belong to every run's profile, so the
+    // boot is profiled once and each run starts from a copy of those
+    // counts: the merged profile equals one fresh boot per run.
+    profile::EdgeProfile boot_profile;
+    uarch::Simulator booted(
+        std::make_shared<const uarch::DecodedModule>(linked));
+    booted.setTimingEnabled(false);
+    booted.setProfiler(&boot_profile);
+    workload::KernelHandle(booted, info).boot();
+    booted.setProfiler(nullptr);
+
+    profile::EdgeProfile profile;
+    for (uint32_t round = 0; round < repeats; ++round) {
+        for (const ProfileRun& run : runs) {
+            // Fresh kernel state per test so descriptor/socket tables
+            // do not leak across setups.
+            uarch::Simulator sim(booted);
+            profile::EdgeProfile test_profile(boot_profile);
+            sim.setProfiler(&test_profile);
+            workload::KernelHandle handle(sim, info);
+            run.wl->setup(handle);
+            for (uint32_t i = 0; i < run.iters; ++i)
+                run.wl->iteration(handle, i);
+            profile.merge(test_profile);
         }
-        if (!shared) {
-            shared = std::make_unique<uarch::Simulator>(decoded,
-                                                        config.params);
-            workload::KernelHandle handle(*shared, info);
-            handle.boot();
-        } else {
-            // Comparable starting conditions without a re-boot.
-            shared->resetMicroarch();
-        }
-        results[wl->name()] =
-            measureOnBooted(*shared, info, *wl, config);
     }
-    return results;
+    return profile;
 }
 
 profile::EdgeProfile
@@ -94,27 +114,10 @@ collectProfile(const ir::Module& linked, const kernel::KernelInfo& info,
                const std::vector<std::unique_ptr<workload::Workload>>& suite,
                uint32_t iters_per_test, uint32_t repeats)
 {
-    profile::EdgeProfile profile;
-    // One decode serves every profiling simulator below.
-    const auto decoded =
-        std::make_shared<const uarch::DecodedModule>(linked);
-    for (uint32_t round = 0; round < repeats; ++round) {
-        // Fresh kernel state per test so descriptor/socket tables do
-        // not leak across setups (each LMBench binary is a process).
-        for (const auto& wl : suite) {
-            profile::EdgeProfile test_profile;
-            uarch::Simulator sim(decoded);
-            sim.setTimingEnabled(false);
-            sim.setProfiler(&test_profile);
-            workload::KernelHandle handle(sim, info);
-            handle.boot();
-            wl->setup(handle);
-            for (uint32_t i = 0; i < iters_per_test; ++i)
-                wl->iteration(handle, i);
-            profile.merge(test_profile);
-        }
-    }
-    return profile;
+    std::vector<ProfileRun> runs;
+    for (const auto& wl : suite)
+        runs.push_back({wl.get(), iters_per_test});
+    return collectProfileRuns(linked, info, runs, repeats);
 }
 
 } // namespace pibe::core

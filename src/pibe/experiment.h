@@ -6,7 +6,6 @@
 #ifndef PIBE_PIBE_EXPERIMENT_H_
 #define PIBE_PIBE_EXPERIMENT_H_
 
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -37,42 +36,62 @@ struct Measurement
 };
 
 /**
- * Boot the kernel image, run the workload's setup and warmup, then
- * measure `measure_iters` iterations.
+ * Decode-once, boot-once prototype of an image: a simulator with the
+ * given cost parameters that has run `kernel_init`. Boot is
+ * deterministic and independent of the workload, so a copy of the
+ * prototype runs exactly like a fresh boot (DESIGN §5); every
+ * measurement below runs on such a copy and never on the prototype.
  */
+std::unique_ptr<const uarch::Simulator>
+bootImage(std::shared_ptr<const uarch::DecodedModule> decoded,
+          const kernel::KernelInfo& info,
+          const uarch::CostParams& params = {});
+
+/**
+ * Measure on a copy of `booted` (from bootImage with
+ * `config.params`; asserted): run the workload's setup and warmup,
+ * then measure `measure_iters` iterations. The prototype is not
+ * touched, so any number of threads may measure from one `const`
+ * prototype at once.
+ */
+Measurement measureWorkload(const uarch::Simulator& booted,
+                            const kernel::KernelInfo& info,
+                            workload::Workload& wl,
+                            const MeasureConfig& config = {});
+
+/** Same, decoding and booting `image` first. */
 Measurement measureWorkload(const ir::Module& image,
                             const kernel::KernelInfo& info,
                             workload::Workload& wl,
                             const MeasureConfig& config = {});
 
-/**
- * Same, on a pre-decoded image: decoding is paid by the caller, once,
- * and shared across every simulator built from it (the engine decodes
- * each image a single time for all of its measurement jobs).
- */
+/** Same, booting a pre-decoded image first. */
 Measurement
 measureWorkload(std::shared_ptr<const uarch::DecodedModule> decoded,
                 const kernel::KernelInfo& info, workload::Workload& wl,
                 const MeasureConfig& config = {});
 
-/**
- * Measure a whole suite; returns test name -> measurement.
- *
- * Workloads that declare no cross-test state (see
- * Workload::hasCrossTestState) share a single booted image — the
- * microarchitectural state is reset between tests, but boot and code
- * layout are paid once. Stateful workloads get a fresh boot each.
- */
-std::map<std::string, Measurement>
-measureSuite(const ir::Module& image, const kernel::KernelInfo& info,
-             std::span<const std::unique_ptr<workload::Workload>> suite,
-             const MeasureConfig& config = {});
+/** One profiled test: its setup, then `iters` iterations. */
+struct ProfileRun
+{
+    workload::Workload* wl = nullptr;
+    uint32_t iters = 0;
+};
 
 /**
- * Phase-1 profiling run: execute every workload (setup + iterations)
- * with the edge profiler attached; timing is irrelevant and disabled.
- * `repeats` models the paper's 11 profiling rounds (counts merge).
+ * Phase-1 profiling: execute each run with the edge profiler
+ * attached, `repeats` times over (the paper's 11 profiling rounds),
+ * and merge the counts; timing is irrelevant and disabled. Every run
+ * starts from a fresh boot, as each LMBench binary is a new process
+ * on the kernel: the image is decoded and booted once, and each run
+ * copies the booted simulator and the boot's own edge counts.
  */
+profile::EdgeProfile
+collectProfileRuns(const ir::Module& linked,
+                   const kernel::KernelInfo& info,
+                   std::span<const ProfileRun> runs, uint32_t repeats = 1);
+
+/** collectProfileRuns with `iters_per_test` iterations of each test. */
 profile::EdgeProfile
 collectProfile(const ir::Module& linked, const kernel::KernelInfo& info,
                const std::vector<std::unique_ptr<workload::Workload>>& suite,

@@ -2,9 +2,10 @@
  * @file
  * The PIBE pipeline — the paper's §4 overview as an API.
  *
- * Phase 1 (profiling): collectProfile() runs a workload on the linked
- * module with the edge profiler attached and returns the call-graph
- * edge profile.
+ * Phase 1 (profiling): collectProfile() (pibe/experiment.h) boots the
+ * linked module once, runs each workload on a copy of the booted
+ * kernel with the edge profiler attached, and returns the merged
+ * call-graph edge profile.
  *
  * Phase 2 (production build): buildImage() takes the linked module and
  * a profile and derives a production image by running, in order,

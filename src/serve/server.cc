@@ -424,9 +424,11 @@ Server::resolveImage(const Json& params, std::string* error,
                               built->text, "image", cache_);
                           built->info = kernelInfoOrThrow(
                               *built->module, "image", cache_);
-                          built->decoded = std::make_shared<
-                              const uarch::DecodedModule>(
-                              *built->module);
+                          built->booted = core::bootImage(
+                              std::make_shared<
+                                  const uarch::DecodedModule>(
+                                  *built->module),
+                              built->info);
                       });
             graph.run(pool_);
             registerImage(built);
@@ -494,7 +496,7 @@ Server::handleMeasure(const Json& params, bool* coalesced)
             graph.add("serve:measure:" + workload,
                       [&](const runtime::JobContext&) {
                           out = core::measureWorkloadCached(
-                              entry->digest, entry->decoded,
+                              entry->digest, *entry->booted,
                               entry->info, workload, config, &cache_);
                       });
             graph.run(pool_);

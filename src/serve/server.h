@@ -15,8 +15,8 @@
  *    processes (lockfile + atomic rename);
  *  - a Batcher that single-flights compatible requests (same cache
  *    key) so concurrent duplicates are computed once;
- *  - a registry of decoded images (decode once per image, shared by
- *    every measurement of it);
+ *  - a registry of booted images (decode and boot once per image;
+ *    every measurement of it runs on a copy);
  *  - a ControlPlane of runtime-togglable knobs (default defense,
  *    admission limit, cache budget, check fail threshold) in the
  *    spec_ctrl debugfs idiom;
@@ -181,8 +181,9 @@ class Server
         profile::EdgeProfile profile;
     };
 
-    /** One production image, decoded and hashed once, shared by
-     *  measurements. */
+    /** One production image, decoded, booted and hashed once, shared
+     *  by measurements (serve always measures with the default
+     *  core::MeasureConfig). */
     struct ImageEntry
     {
         std::string key;
@@ -190,7 +191,7 @@ class Server
         core::ArtifactDigest digest;
         std::unique_ptr<ir::Module> module;
         kernel::KernelInfo info;
-        std::shared_ptr<const uarch::DecodedModule> decoded;
+        std::unique_ptr<const uarch::Simulator> booted;
         harden::DefenseConfig defense;
     };
 

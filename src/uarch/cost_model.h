@@ -100,6 +100,8 @@ struct CostParams
 
     /** Simulated clock in cycles per reported microsecond. */
     uint32_t cycles_per_us = 1000;
+
+    bool operator==(const CostParams&) const = default;
 };
 
 } // namespace pibe::uarch

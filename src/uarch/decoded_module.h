@@ -39,7 +39,7 @@
  *
  * A DecodedModule is immutable after construction and holds no
  * runtime state, so one instance can be shared by any number of
- * simulators (measureSuite shares one across a whole workload suite).
+ * simulators (every copy of a booted simulator shares its image).
  * Decoding only reads the module and the layout; it does not depend
  * on CostParams, so the cache key is the module alone.
  *

@@ -31,6 +31,31 @@ Simulator::Simulator(std::shared_ptr<const DecodedModule> decoded,
     resetMemory();
 }
 
+Simulator::Simulator(const Simulator& other)
+    : decoded_(other.decoded_),
+      module_(other.module_),
+      params_(other.params_),
+      btb_(other.btb_),
+      rsb_(other.rsb_),
+      pht_(other.pht_),
+      icache_(other.icache_),
+      globals_(other.globals_),
+      js_states_(other.js_states_),
+      timing_(other.timing_),
+      use_reference_(other.use_reference_),
+      stats_(other.stats_),
+      sink_hash_(other.sink_hash_),
+      last_return_(other.last_return_)
+{
+    // The register and frame stacks are capacity buffers with no live
+    // content between runs (pushSlots zeroes every window it hands
+    // out), so the copy starts them empty.
+    PIBE_ASSERT(!other.profiler_ && !other.observer_,
+                "copy of a simulator with a profiler or observer attached");
+    PIBE_ASSERT(other.frames_.empty() && other.acts_.empty(),
+                "copy of a running simulator");
+}
+
 void
 Simulator::resetMemory()
 {
@@ -38,16 +63,6 @@ Simulator::resetMemory()
     globals_.reserve(module_.numGlobals());
     for (const ir::Global& g : module_.globals())
         globals_.push_back(g.init);
-}
-
-void
-Simulator::resetMicroarch()
-{
-    btb_.flush();
-    rsb_.flush();
-    pht_.flush();
-    icache_.flush();
-    js_states_.assign(decoded_->numJsSlots(), JsState{});
 }
 
 int64_t

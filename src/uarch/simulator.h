@@ -99,11 +99,22 @@ class Simulator
 
     /**
      * Share a pre-decoded image across simulators: decoding is paid
-     * once per module, not once per Simulator (measureSuite uses this
-     * to decode each image a single time for the whole suite).
+     * once per module, not once per Simulator.
      */
     explicit Simulator(std::shared_ptr<const DecodedModule> decoded,
                        const CostParams& params = {});
+
+    /**
+     * Snapshot: a simulator whose every later run() is identical to
+     * the original's. The copy shares the decoded image and copies
+     * global memory, BTB/RSB/PHT, i-cache, JumpSwitch slots, stats,
+     * sink hash and the timing/reference flags. The engine boots each
+     * image once and measures on copies of that prototype (DESIGN §5).
+     * Copying between runs only; copying a simulator that has a
+     * profiler or observer attached panics (the copy would write to
+     * the same sink as the original).
+     */
+    Simulator(const Simulator& other);
 
     /**
      * Call function `f` with `args` and run to completion; returns the
@@ -123,9 +134,6 @@ class Simulator
 
     /** Reinitialize global memory from the module's initializers. */
     void resetMemory();
-
-    /** Flush caches, predictors, and JumpSwitch runtime state. */
-    void resetMicroarch();
 
     const RunStats& stats() const { return stats_; }
     void clearStats() { stats_ = RunStats{}; }

@@ -76,11 +76,10 @@ struct TestSpec
 
 std::unique_ptr<Workload>
 simple(const char* name, SimpleWorkload::SetupFn setup,
-       SimpleWorkload::IterFn iter, bool cross_test_state = true)
+       SimpleWorkload::IterFn iter)
 {
     return std::make_unique<SimpleWorkload>(name, std::move(setup),
-                                            std::move(iter),
-                                            cross_test_state);
+                                            std::move(iter));
 }
 
 /** Shared fd slots filled during setup, captured by iterations. */
@@ -96,12 +95,9 @@ specs()
     static const std::vector<TestSpec> kSpecs = {
         {"null",
          [] {
-             // No setup and no persistent kernel effects: safe to
-             // share a booted image across suite entries.
              return simple(
                  "null", nullptr,
-                 [](KernelHandle& k, uint64_t) { k.syscall(kNull); },
-                 /*cross_test_state=*/false);
+                 [](KernelHandle& k, uint64_t) { k.syscall(kNull); });
          }},
         {"read",
          [] {
@@ -138,8 +134,7 @@ specs()
                                    kOpen,
                                    KernelHandle::pathHash(i % 8), 0);
                                k.syscall(kClose, fd);
-                           },
-                           /*cross_test_state=*/false);
+                           });
          }},
         {"stat",
          [] {
@@ -148,8 +143,7 @@ specs()
                                k.syscall(kStat,
                                          KernelHandle::pathHash(i % 8),
                                          128);
-                           },
-                           /*cross_test_state=*/false);
+                           });
          }},
         {"fstat",
          [] {
@@ -314,8 +308,7 @@ specs()
                                    8192 + (i % 16) * 64;
                                k.syscall(kMmap, addr, 64);
                                k.syscall(kMunmap, addr, 64);
-                           },
-                           /*cross_test_state=*/false);
+                           });
          }},
         {"page_fault",
          [] {

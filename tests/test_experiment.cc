@@ -100,18 +100,21 @@ TEST_F(ExperimentTest, WarmupReducesMeasuredLatency)
     EXPECT_GT(cold_lat, warm_lat); // predictors and i-cache trained
 }
 
-TEST_F(ExperimentTest, MeasureSuiteCoversAllTests)
+// Every LMBench test measures from one booted prototype of the image.
+TEST_F(ExperimentTest, BootedPrototypeCoversAllTests)
 {
     auto suite = workload::makeLmbenchSuite();
     core::MeasureConfig cfg;
     cfg.warmup_iters = 5;
     cfg.measure_iters = 10;
-    auto results =
-        core::measureSuite(image_->module, image_->info, suite, cfg);
-    EXPECT_EQ(results.size(), suite.size());
-    for (const auto& [name, m] : results) {
-        EXPECT_GT(m.latency_us, 0.0) << name;
-        EXPECT_GT(m.stats.instructions, 0u) << name;
+    const auto booted = core::bootImage(
+        std::make_shared<const uarch::DecodedModule>(image_->module),
+        image_->info, cfg.params);
+    for (const auto& wl : suite) {
+        const core::Measurement m =
+            core::measureWorkload(*booted, image_->info, *wl, cfg);
+        EXPECT_GT(m.latency_us, 0.0) << wl->name();
+        EXPECT_GT(m.stats.instructions, 0u) << wl->name();
     }
 }
 
@@ -194,8 +197,8 @@ TEST_F(ExperimentTest, TextKeysEqualDigestChainedKeys)
         kernel_text, decoded, image_->info, "null", quickMeasure(),
         &cache);
     const core::Measurement by_digest = core::measureWorkloadCached(
-        kernel_digest, decoded, image_->info, "null", quickMeasure(),
-        &cache);
+        kernel_digest, *core::bootImage(decoded, image_->info),
+        image_->info, "null", quickMeasure(), &cache);
     EXPECT_EQ(cache.stats().hits(), 2u);
     EXPECT_EQ(by_digest.stats.cycles, by_text.stats.cycles);
 }

@@ -377,16 +377,19 @@ cmdMeasure(Args& args)
     std::string base_text;
     std::unique_ptr<ir::Module> base_mod;
     kernel::KernelInfo base_info;
-    std::shared_ptr<const uarch::DecodedModule> base_decoded;
+    std::unique_ptr<const uarch::Simulator> base_booted;
     if (!baseline_path.empty()) {
         base_text = readFile(baseline_path);
         base_mod = std::make_unique<ir::Module>(
             parseAndVerify(base_text, baseline_path));
         base_digest = core::ArtifactDigest::of(base_text);
         base_info = kernel::kernelInfoFromModule(*base_mod);
-        base_decoded =
-            std::make_shared<const uarch::DecodedModule>(*base_mod);
+        base_booted = core::bootImage(
+            std::make_shared<const uarch::DecodedModule>(*base_mod),
+            base_info);
     }
+    // Decode and boot each image once; every job measures on a copy.
+    const auto booted = core::bootImage(decoded, info);
 
     // One job per (image, test), each writing its own pre-sized slot;
     // results are position-addressed so --jobs N output is identical
@@ -405,7 +408,7 @@ cmdMeasure(Args& args)
                       const Clock::time_point t0 = Clock::now();
                       const core::Measurement meas =
                           core::measureWorkloadCached(
-                              image_digest, decoded, info, tests[i],
+                              image_digest, *booted, info, tests[i],
                               config, &cache);
                       run_ms[i] = std::chrono::duration<double,
                                                         std::milli>(
@@ -420,7 +423,7 @@ cmdMeasure(Args& args)
                       [&, i](const runtime::JobContext&) {
                           base_lat[i] =
                               core::measureWorkloadCached(
-                                  base_digest, base_decoded, base_info,
+                                  base_digest, *base_booted, base_info,
                                   tests[i], config, &cache)
                                   .latency_us;
                       });
