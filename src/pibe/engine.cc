@@ -9,6 +9,7 @@
 
 #include "ir/parser.h"
 #include "ir/printer.h"
+#include "ir/verifier.h"
 #include "profile/serialize.h"
 #include "runtime/digest.h"
 #include "runtime/thread_pool.h"
@@ -173,16 +174,65 @@ parseMeasurement(const std::string& text)
     return m;
 }
 
-std::unique_ptr<workload::Workload>
-makeWorkloadByName(const std::string& name)
+/** `text` as a kernel artifact (digest unset), or nullopt and why. */
+std::optional<KernelArtifact>
+parseArtifact(std::string_view text, std::string& error)
 {
-    if (name == "nginx")
-        return workload::makeNginxWorkload();
-    if (name == "apache")
-        return workload::makeApacheWorkload();
-    if (name == "dbench")
-        return workload::makeDbenchWorkload();
-    return workload::makeLmbenchTest(name);
+    ir::ParseResult parsed = ir::tryParseModule(text);
+    if (!parsed.module) {
+        error = parsed.error;
+        return std::nullopt;
+    }
+    auto module = std::make_unique<const ir::Module>(std::move(*parsed.module));
+    kernel::KernelInfoResult info = kernel::tryKernelInfoFromModule(*module);
+    if (!info.info) {
+        error = info.error;
+        return std::nullopt;
+    }
+    return KernelArtifact{{}, std::move(module), *info.info};
+}
+
+/**
+ * The corrupt-artifact policy for module texts: a hit that does not
+ * parse into a kernel is counted, rebuilt by `make` and put over the
+ * bad entry. `parsed`, when non-null, receives the returned text's
+ * artifact; a miss parses the printed text, so hits and misses run the
+ * same module.
+ */
+template <typename Make>
+std::string
+moduleTextCached(const std::string& key, runtime::ArtifactCache* cache,
+                 KernelArtifact* parsed, Make make)
+{
+    std::string error;
+    std::optional<std::string> text = cache ? cache->get(key) : std::nullopt;
+    std::optional<KernelArtifact> artifact;
+    if (text && !(artifact = parseArtifact(*text, error))) {
+        cache->noteCorrupt();
+        text.reset();
+    }
+    if (!text) {
+        text = make();
+        if (cache)
+            cache->put(key, *text);
+    }
+    if (parsed) {
+        if (!artifact)
+            artifact = parseArtifact(*text, error).value();
+        artifact->digest = ArtifactDigest::of(*text);
+        *parsed = std::move(*artifact);
+    }
+    return std::move(*text);
+}
+
+/** `kernel` decoded and booted once, for measurements to copy. */
+ImageArtifact
+bootArtifact(KernelArtifact kernel, const uarch::CostParams& params)
+{
+    auto booted = bootImage(
+        std::make_shared<const uarch::DecodedModule>(*kernel.module),
+        kernel.info, params);
+    return {std::move(kernel), std::move(booted)};
 }
 
 } // namespace
@@ -268,19 +318,21 @@ collectLmbenchProfile(const ir::Module& kernel,
 
 std::string
 kernelTextCached(const kernel::KernelConfig& cfg,
-                 runtime::ArtifactCache* cache)
+                 runtime::ArtifactCache* cache, KernelArtifact* parsed)
 {
     runtime::Digest d;
     hashKernelConfig(d, cfg);
-    if (cache) {
-        if (std::optional<std::string> text = cache->get(d.hex()))
-            return *text;
-    }
-    kernel::KernelImage k = kernel::buildKernel(cfg);
-    std::string text = ir::printModule(k.module);
-    if (cache)
-        cache->put(d.hex(), text);
-    return text;
+    return moduleTextCached(d.hex(), cache, parsed, [&] {
+        return ir::printModule(kernel::buildKernel(cfg).module);
+    });
+}
+
+KernelArtifact
+loadKernel(const kernel::KernelConfig& cfg, runtime::ArtifactCache* cache)
+{
+    KernelArtifact kernel;
+    kernelTextCached(cfg, cache, &kernel);
+    return kernel;
 }
 
 ArtifactDigest
@@ -316,7 +368,7 @@ profileTextCached(const ArtifactDigest& kernel_digest,
     if (cache)
         cache->put(d.hex(), text);
     if (lifted)
-        *lifted = profile::liftProfile(kernel, text);
+        *lifted = profile::tryLiftProfile(kernel, text).profile.value();
     return text;
 }
 
@@ -359,21 +411,17 @@ imageTextCached(const ArtifactDigest& kernel_digest,
                 const profile::EdgeProfile& profile,
                 const OptConfig& opt,
                 const harden::DefenseConfig& defense,
-                runtime::ArtifactCache* cache)
+                runtime::ArtifactCache* cache, KernelArtifact* parsed)
 {
-    const std::string key =
-        imageCacheKey(kernel_digest, profile_digest, opt, defense);
-    if (cache) {
-        if (std::optional<std::string> text = cache->get(key))
-            return *text;
-    }
-    BuildResult built = tryBuildImage(kernel, profile, opt, defense);
-    if (!built.image)
-        throw std::runtime_error(built.error);
-    std::string text = ir::printModule(*built.image);
-    if (cache)
-        cache->put(key, text);
-    return text;
+    return moduleTextCached(
+        imageCacheKey(kernel_digest, profile_digest, opt, defense), cache,
+        parsed, [&] {
+            BuildResult built =
+                tryBuildImage(kernel, profile, opt, defense);
+            if (!built.image)
+                throw std::runtime_error(built.error);
+            return ir::printModule(*built.image);
+        });
 }
 
 std::string
@@ -388,6 +436,37 @@ imageTextCached(const std::string& kernel_text,
     return imageTextCached(ArtifactDigest::of(kernel_text), kernel,
                            ArtifactDigest::of(profile_text), profile, opt,
                            defense, cache);
+}
+
+ImageArtifact
+loadImage(const KernelArtifact& kernel, const ArtifactDigest& profile_digest,
+          const profile::EdgeProfile& profile, const OptConfig& opt,
+          const harden::DefenseConfig& defense,
+          const uarch::CostParams& params, runtime::ArtifactCache* cache,
+          std::string* text)
+{
+    KernelArtifact parsed;
+    std::string image_text =
+        imageTextCached(kernel.digest, *kernel.module, profile_digest,
+                        profile, opt, defense, cache, &parsed);
+    if (text)
+        *text = std::move(image_text);
+    return bootArtifact(std::move(parsed), params);
+}
+
+std::optional<ImageArtifact>
+loadImageText(std::string_view text, std::string& error)
+{
+    std::optional<KernelArtifact> parsed = parseArtifact(text, error);
+    if (!parsed)
+        return std::nullopt;
+    std::vector<std::string> problems = ir::verifyModule(*parsed->module);
+    if (!problems.empty()) {
+        error = "module verification failed: " + problems.front();
+        return std::nullopt;
+    }
+    parsed->digest = ArtifactDigest::of(text);
+    return bootArtifact(std::move(*parsed), uarch::CostParams{});
 }
 
 Measurement
@@ -415,7 +494,10 @@ measureWorkloadCached(const ArtifactDigest& image_digest,
             cache->noteCorrupt();
         }
     }
-    auto wl = makeWorkloadByName(workload_name);
+    auto wl = workload::makeWorkload(workload_name);
+    if (!wl)
+        throw std::runtime_error("unknown workload '" + workload_name +
+                                 "'");
     Measurement m = measureWorkload(booted, info, *wl, config);
     if (cache)
         cache->put(d.hex(), serializeMeasurement(m));
@@ -454,29 +536,14 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
 
     // Shared pipeline state. Each field is written by exactly one job
     // and read only by its dependents (the graph publishes writes).
-    // Each artifact text is hashed once, in the job that makes it; the
+    // Each artifact text is hashed once, in the job that loads it; the
     // keys of everything derived from it chain that digest.
-    struct Shared
-    {
-        ArtifactDigest kernel_digest;
-        std::unique_ptr<ir::Module> kernel;
-        kernel::KernelInfo info;
-        ArtifactDigest profile_digest;
-        profile::EdgeProfile profile;
-    } shared;
-
-    struct BuiltImage
-    {
-        ArtifactDigest digest;
-        std::unique_ptr<ir::Module> module;
-        kernel::KernelInfo info;
-        /** Decoded and booted once in the image job; every measurement
-         *  job on this image runs on a copy of it. */
-        std::unique_ptr<const uarch::Simulator> booted;
-    };
-    // Pre-create every slot so parallel jobs never mutate map
+    KernelArtifact kernel;
+    ArtifactDigest profile_digest;
+    profile::EdgeProfile profile;
+    // Pre-create every image slot so parallel jobs never mutate map
     // structure, only their own entries.
-    std::map<std::string, BuiltImage> images;
+    std::map<std::string, ImageArtifact> images;
     for (const auto& spec : plan.images) {
         PIBE_ASSERT(images.find(spec.name) == images.end(),
                     "duplicate image name '", spec.name, "'");
@@ -497,23 +564,17 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
 
     runtime::JobGraph graph;
 
-    const runtime::JobId kernel_job = graph.add(
-        "kernel", [&](const runtime::JobContext&) {
-            // Always run from the parsed canonical text so cache hits
-            // and misses execute the exact same module.
-            const std::string text = kernelTextCached(plan.kernel, cachep);
-            shared.kernel_digest = ArtifactDigest::of(text);
-            shared.kernel =
-                std::make_unique<ir::Module>(ir::parseModule(text));
-            shared.info = kernel::kernelInfoFromModule(*shared.kernel);
+    const runtime::JobId kernel_job =
+        graph.add("kernel", [&](const runtime::JobContext&) {
+            kernel = loadKernel(plan.kernel, cachep);
         });
 
     const runtime::JobId profile_job = graph.add(
         "profile",
         [&](const runtime::JobContext&) {
-            shared.profile_digest = ArtifactDigest::of(profileTextCached(
-                shared.kernel_digest, *shared.kernel, shared.info,
-                plan.profile_base_iters, cachep, &shared.profile));
+            profile_digest = ArtifactDigest::of(profileTextCached(
+                kernel.digest, *kernel.module, kernel.info,
+                plan.profile_base_iters, cachep, &profile));
         },
         {kernel_job});
 
@@ -523,19 +584,9 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
             "image:" + spec.name,
             [&, spec, slot = &images[spec.name]](
                 const runtime::JobContext&) {
-                const std::string text = imageTextCached(
-                    shared.kernel_digest, *shared.kernel,
-                    shared.profile_digest, shared.profile, spec.opt,
-                    spec.defense, cachep);
-                slot->digest = ArtifactDigest::of(text);
-                slot->module =
-                    std::make_unique<ir::Module>(ir::parseModule(text));
-                slot->info =
-                    kernel::kernelInfoFromModule(*slot->module);
-                slot->booted = bootImage(
-                    std::make_shared<const uarch::DecodedModule>(
-                        *slot->module),
-                    slot->info, plan.measure.params);
+                *slot = loadImage(kernel, profile_digest, profile, spec.opt,
+                                  spec.defense, plan.measure.params,
+                                  cachep);
             },
             {profile_job});
     }
@@ -546,16 +597,16 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
             [&, run, img = &images.at(run.image),
              out = &results.measurements.at(run.image).at(run.workload)](
                 const runtime::JobContext&) {
-                *out = measureWorkloadCached(
-                    img->digest, *img->booted, img->info, run.workload,
-                    plan.measure, opts.use_cache ? &cache : nullptr);
+                *out = measureWorkloadCached(img->digest, *img->booted,
+                                             img->info, run.workload,
+                                             plan.measure, cachep);
             },
             {image_jobs.at(run.image)});
     }
 
     runtime::ThreadPool pool(std::max(1u, opts.jobs));
     graph.run(pool);
-    pool.shutdown();
+    pool.stop();
 
     results.cache = cache.stats();
     results.jobs = graph.metrics();
@@ -582,6 +633,8 @@ engineMetricsTable(const ExperimentResults& results)
     t.addRow({"cache: misses / puts",
               std::to_string(results.cache.misses),
               std::to_string(results.cache.puts)});
+    t.addRow({"cache: corrupt (recomputed)", "-",
+              std::to_string(results.cache.corrupt)});
     t.addRow({"wall clock", "-", fixedStr(results.wall_ms, 1)});
     return t;
 }

@@ -17,6 +17,12 @@
  * them, so re-runs and cross-table runs sharing a cache directory skip
  * the expensive stages entirely.
  *
+ * The engine, `pibe serve` and the CLI load kernels and images through
+ * one loader each (loadKernel, loadImage), and every stage has one
+ * corrupt-artifact policy: a cached artifact that does not decode is
+ * counted in CacheStats::corrupt, recomputed, and put over the bad
+ * entry. No cache artifact can fail or end a process.
+ *
  * Determinism: every stage consumes the *parsed canonical text* of its
  * inputs (never the in-memory object that produced the text), and each
  * job's stochastic state is seeded from its job key — so results are
@@ -26,6 +32,8 @@
 #define PIBE_PIBE_ENGINE_H_
 
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -122,10 +130,6 @@ ExperimentResults runExperiments(const ExperimentPlan& plan,
 // daemon — computes bit-identical artifacts through the same code and
 // the same cache keys. `cache` may be null (no memoization).
 
-/** Canonical kernel module text for `cfg`, memoized in `cache`. */
-std::string kernelTextCached(const kernel::KernelConfig& cfg,
-                             runtime::ArtifactCache* cache);
-
 /**
  * The content digest of one artifact text: runtime::Digest over the
  * length-prefixed text, as 32 hex chars. Each text is hashed once, and
@@ -149,14 +153,37 @@ struct ArtifactDigest
 };
 
 /**
+ * A kernel (or production image) artifact: its text's digest, the
+ * parse and the kernel handles. The module is on the heap, so it keeps
+ * its address when the artifact moves (simulators refer to it).
+ */
+struct KernelArtifact
+{
+    ArtifactDigest digest;
+    std::unique_ptr<const ir::Module> module;
+    kernel::KernelInfo info;
+};
+
+/**
+ * Canonical kernel module text for `cfg`, memoized in `cache`. A hit
+ * must parse into a synthetic kernel. `parsed`, when non-null,
+ * receives that parse, or on a miss the parse of the printed text, so
+ * hits and misses run the same module.
+ */
+std::string kernelTextCached(const kernel::KernelConfig& cfg,
+                             runtime::ArtifactCache* cache,
+                             KernelArtifact* parsed = nullptr);
+
+/** The kernel for `cfg`, through kernelTextCached(). */
+KernelArtifact loadKernel(const kernel::KernelConfig& cfg,
+                          runtime::ArtifactCache* cache);
+
+/**
  * Canonical serialized LMBench training profile for `kernel` (which
  * must be the parse of the text `kernel_digest` digests — the digest
- * keys the cache, the module is the execution input). A cached
- * artifact that does not lift onto `kernel` is a miss: it is counted
- * in CacheStats::corrupt, and the profile is recomputed and put over
- * it. When `lifted` is non-null it receives the text lifted onto
- * `kernel`, the lift that checked a cached artifact, so a fetch lifts
- * the profile once.
+ * keys the cache, the module is the execution input). A hit must
+ * lift onto `kernel`. When `lifted` is non-null it receives that
+ * lift, so a fetch lifts the profile once.
  */
 std::string profileTextCached(const ArtifactDigest& kernel_digest,
                               const ir::Module& kernel,
@@ -186,7 +213,8 @@ std::string imageCacheKey(const std::string& kernel_text,
  * `kernel`/`profile` must be the parses of the two digested texts. A
  * build that fails its audit (tryBuildImage's error) is thrown as
  * std::runtime_error, which a job graph carries to its caller (serve
- * answers it with an error response).
+ * answers it with an error response). Hits and `parsed` are as in
+ * kernelTextCached().
  */
 std::string imageTextCached(const ArtifactDigest& kernel_digest,
                             const ir::Module& kernel,
@@ -194,7 +222,8 @@ std::string imageTextCached(const ArtifactDigest& kernel_digest,
                             const profile::EdgeProfile& profile,
                             const OptConfig& opt,
                             const harden::DefenseConfig& defense,
-                            runtime::ArtifactCache* cache);
+                            runtime::ArtifactCache* cache,
+                            KernelArtifact* parsed = nullptr);
 std::string imageTextCached(const std::string& kernel_text,
                             const ir::Module& kernel,
                             const std::string& profile_text,
@@ -202,6 +231,28 @@ std::string imageTextCached(const std::string& kernel_text,
                             const OptConfig& opt,
                             const harden::DefenseConfig& defense,
                             runtime::ArtifactCache* cache);
+
+/** An image artifact, decoded and booted once (bootImage()): every
+ *  measurement of the image runs on a copy of `booted`. */
+struct ImageArtifact : KernelArtifact
+{
+    std::unique_ptr<const uarch::Simulator> booted;
+};
+
+/** The image for one (opt, defense) point, through imageTextCached(),
+ *  booted with `params`; `text`, when non-null, receives its text. */
+ImageArtifact
+loadImage(const KernelArtifact& kernel, const ArtifactDigest& profile_digest,
+          const profile::EdgeProfile& profile, const OptConfig& opt,
+          const harden::DefenseConfig& defense,
+          const uarch::CostParams& params, runtime::ArtifactCache* cache,
+          std::string* text = nullptr);
+
+/** An image from text outside the cache (`pibe measure`'s files):
+ *  parsed, verified, decoded and booted with the default cost params;
+ *  or nullopt, with the parse or verifier error in `error`. */
+std::optional<ImageArtifact> loadImageText(std::string_view text,
+                                           std::string& error);
 
 /**
  * One cached measurement. Key = (decoded-stream format version, image
@@ -211,10 +262,10 @@ std::string imageTextCached(const std::string& kernel_text,
  * `booted`, the image's prototype from bootImage() with
  * `config.params` (decode and boot once, pass to every measurement of
  * the same image). `workload_name` is an LMBench test name or "nginx" /
- * "apache" / "dbench". `cache` may be null (no memoization). A cached
- * artifact that does not parse is a miss: it is counted in
- * CacheStats::corrupt, and the measurement is recomputed and put over
- * it. Shared by runExperiments(), serve and `pibe measure --jobs`.
+ * "apache" / "dbench" (workload::makeWorkload); any other name is
+ * thrown as std::runtime_error. `cache` may be null (no memoization).
+ * A hit must parse. Shared by runExperiments(), serve and `pibe
+ * measure --jobs`.
  */
 Measurement
 measureWorkloadCached(const ArtifactDigest& image_digest,

@@ -19,7 +19,7 @@ ThreadPool::ThreadPool(size_t num_threads)
         threads_.emplace_back([this] { workerLoop(); });
 }
 
-ThreadPool::~ThreadPool() { stop(StopMode::kDrain); }
+ThreadPool::~ThreadPool() { stop(); }
 
 void
 ThreadPool::post(std::function<void()> task)
@@ -29,38 +29,23 @@ ThreadPool::post(std::function<void()> task)
         PIBE_ASSERT(!shutting_down_,
                     "ThreadPool::submit after stop");
         queue_.push_back(std::move(task));
-        ++tasks_submitted_;
     }
     cv_.notify_one();
 }
 
 void
-ThreadPool::stop(StopMode mode)
+ThreadPool::stop()
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (shutting_down_ && threads_.empty())
             return;
         shutting_down_ = true;
-        if (mode == StopMode::kCancel) {
-            // Dropping the packaged_tasks breaks their promises, so
-            // waiters see future_errc::broken_promise, not a hang.
-            tasks_cancelled_ += queue_.size();
-            queue_.clear();
-        }
     }
     cv_.notify_all();
     for (auto& t : threads_)
         t.join();
     threads_.clear();
-    // Every submitted task is accounted for: it either ran or was
-    // cancelled. This is the "no leaked jobs" shutdown invariant.
-    std::lock_guard<std::mutex> lock(mu_);
-    PIBE_ASSERT(queue_.empty() &&
-                    tasks_run_ + tasks_cancelled_ == tasks_submitted_,
-                "ThreadPool::stop leaked jobs (run=", tasks_run_,
-                " cancelled=", tasks_cancelled_,
-                " submitted=", tasks_submitted_, ")");
 }
 
 uint64_t
@@ -68,20 +53,6 @@ ThreadPool::tasksRun() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return tasks_run_;
-}
-
-uint64_t
-ThreadPool::cancelledTasks() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return tasks_cancelled_;
-}
-
-uint64_t
-ThreadPool::tasksSubmitted() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return tasks_submitted_;
 }
 
 void
@@ -95,7 +66,7 @@ ThreadPool::workerLoop()
                 return shutting_down_ || !queue_.empty();
             });
             if (queue_.empty())
-                return; // shutting down and drained (or cancelled)
+                return; // shutting down and drained
             task = std::move(queue_.front());
             queue_.pop_front();
             ++tasks_run_;

@@ -7,11 +7,8 @@
  * the CLI's parallel measure path, the `pibe serve` daemon) can submit
  * closures directly.
  *
- * Shutdown policy is explicit: stop(StopMode::kDrain) finishes every
- * queued task before joining (results are never silently dropped),
- * stop(StopMode::kCancel) discards tasks that have not started yet —
- * their futures report std::future_errc::broken_promise — and joins as
- * soon as the in-flight tasks finish. The destructor drains.
+ * Shutdown drains: stop() finishes every queued task before joining,
+ * so results are never silently dropped. The destructor stops.
  *
  * parallelFor() is the data-parallel loop of the audit's per-function
  * sweeps and the PIR parser: the caller works through the chunks
@@ -39,16 +36,10 @@ namespace pibe::runtime {
 class ThreadPool
 {
   public:
-    /** What to do with queued-but-unstarted tasks on stop(). */
-    enum class StopMode {
-        kDrain,  ///< Run everything already queued, then join.
-        kCancel, ///< Discard the queue (futures break), then join.
-    };
-
     /** Spawn `num_threads` workers (clamped to at least 1). */
     explicit ThreadPool(size_t num_threads);
 
-    /** Graceful shutdown: equivalent to stop(StopMode::kDrain). */
+    /** Graceful shutdown: stop(). */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
@@ -57,7 +48,7 @@ class ThreadPool
     /**
      * Enqueue `fn` and return a future for its result. Exceptions
      * thrown by `fn` propagate through the future.
-     * @pre stop()/shutdown() has not been called.
+     * @pre stop() has not been called.
      */
     template <typename Fn>
     auto
@@ -72,27 +63,16 @@ class ThreadPool
     }
 
     /**
-     * Stop accepting work and join all workers. kDrain finishes the
-     * queue first; kCancel discards it (cancelledTasks() counts the
-     * discards). Idempotent — later calls, including the destructor's
-     * drain, are no-ops regardless of mode.
+     * Stop accepting work, finish the queue and join all workers.
+     * Idempotent: later calls, including the destructor's, are no-ops.
      */
-    void stop(StopMode mode);
-
-    /** Back-compat alias for stop(StopMode::kDrain). */
-    void shutdown() { stop(StopMode::kDrain); }
+    void stop();
 
     /** Number of worker threads. */
     size_t size() const { return threads_.size(); }
 
     /** Total tasks executed so far. */
     uint64_t tasksRun() const;
-
-    /** Tasks discarded by stop(StopMode::kCancel). */
-    uint64_t cancelledTasks() const;
-
-    /** Tasks accepted by submit() so far. */
-    uint64_t tasksSubmitted() const;
 
   private:
     void post(std::function<void()> task);
@@ -103,8 +83,6 @@ class ThreadPool
     std::condition_variable cv_;
     std::deque<std::function<void()>> queue_;
     uint64_t tasks_run_ = 0;
-    uint64_t tasks_submitted_ = 0;
-    uint64_t tasks_cancelled_ = 0;
     bool shutting_down_ = false;
 };
 

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "ir/parser.h"
 #include "pibe/engine.h"
 #include "runtime/artifact_cache.h"
 #include "serve/client.h"
@@ -267,17 +266,12 @@ verifyInProcess(const LoadgenOptions& opts, Client& client,
         (*pong)["profile_iters"].asInt(120));
 
     runtime::ArtifactCache cache; // local, memory-only
-    const std::string kernel_text =
-        core::kernelTextCached(cfg, &cache);
-    const ir::Module kernel = ir::parseModule(kernel_text);
-    const kernel::KernelInfo info =
-        kernel::kernelInfoFromModule(kernel);
-    const core::ArtifactDigest kernel_digest =
-        core::ArtifactDigest::of(kernel_text);
+    const core::KernelArtifact kernel = core::loadKernel(cfg, &cache);
     profile::EdgeProfile profile;
     const core::ArtifactDigest profile_digest =
         core::ArtifactDigest::of(core::profileTextCached(
-            kernel_digest, kernel, info, profile_iters, &cache, &profile));
+            kernel.digest, *kernel.module, kernel.info, profile_iters,
+            &cache, &profile));
 
     uint64_t mismatches = 0;
     uint32_t checked = 0;
@@ -302,18 +296,13 @@ verifyInProcess(const LoadgenOptions& opts, Client& client,
             harden::defenseByName(req.params["defense"].asString());
         if (!defense)
             continue;
-        const std::string image_text = core::imageTextCached(
-            kernel_digest, kernel, profile_digest, profile, opt, *defense,
-            &cache);
-        const ir::Module image = ir::parseModule(image_text);
-        const kernel::KernelInfo image_info =
-            kernel::kernelInfoFromModule(image);
-        auto decoded =
-            std::make_shared<const uarch::DecodedModule>(image);
+        const core::MeasureConfig config;
+        const core::ImageArtifact image =
+            core::loadImage(kernel, profile_digest, profile, opt, *defense,
+                            config.params, &cache);
         const core::Measurement m = core::measureWorkloadCached(
-            image_text, decoded, image_info,
-            req.params["workload"].asString(), core::MeasureConfig{},
-            &cache);
+            image.digest, *image.booted, image.info,
+            req.params["workload"].asString(), config, &cache);
         const std::string local_bits =
             std::to_string(std::bit_cast<uint64_t>(m.latency_us)) +
             ":" +

@@ -9,7 +9,6 @@
 #include <exception>
 
 #include "check/checks.h"
-#include "ir/parser.h"
 #include "serve/protocol.h"
 #include "support/logging.h"
 #include "workload/workload.h"
@@ -45,42 +44,6 @@ parseUint(const std::string& s)
         v = v * 10 + static_cast<uint64_t>(c - '0');
     }
     return v;
-}
-
-/**
- * Parse PIR text the daemon read from `cache`. Bad text (a corrupt
- * artifact) is counted in CacheStats::corrupt and becomes an exception
- * that the job graph and batcher carry to the request, which answers
- * with an error response; the daemon keeps serving.
- */
-std::unique_ptr<ir::Module>
-parsedOrThrow(const std::string& text, const char* what,
-              runtime::ArtifactCache& cache)
-{
-    ir::ParseResult parsed = ir::tryParseModule(text);
-    if (!parsed.module) {
-        cache.noteCorrupt();
-        throw std::runtime_error(std::string(what) +
-                                 " text: " + parsed.error);
-    }
-    return std::make_unique<ir::Module>(std::move(*parsed.module));
-}
-
-/**
- * The kernel handles of a module the daemon parsed from `cache`. A
- * module that is not a synthetic kernel (say, an empty artifact) is
- * corrupt, with parsedOrThrow()'s policy.
- */
-kernel::KernelInfo
-kernelInfoOrThrow(const ir::Module& module, const char* what,
-                  runtime::ArtifactCache& cache)
-{
-    kernel::KernelInfoResult r = kernel::tryKernelInfoFromModule(module);
-    if (!r.info) {
-        cache.noteCorrupt();
-        throw std::runtime_error(std::string(what) + ": " + r.error);
-    }
-    return *r.info;
 }
 
 /** RAII pairing for the gate + inflight metrics gauge. */
@@ -216,11 +179,6 @@ Server::Server(ServeOptions opts)
         cache_.setDiskBudget(opts_.cache_budget);
     if (opts_.mem_budget != 0)
         cache_.setMemoryBudget(opts_.mem_budget);
-    for (const auto& wl : workload::makeLmbenchSuite())
-        valid_workloads_.insert(wl->name());
-    valid_workloads_.insert("nginx");
-    valid_workloads_.insert("apache");
-    valid_workloads_.insert("dbench");
     registerKnobs();
 }
 
@@ -310,20 +268,16 @@ Server::context()
         runtime::JobGraph graph;
         const runtime::JobId kernel_job = graph.add(
             "serve:kernel", [&](const runtime::JobContext&) {
-                const std::string text =
-                    core::kernelTextCached(opts_.kernel, &cache_);
-                ctx->kernel_digest = core::ArtifactDigest::of(text);
-                ctx->kernel = parsedOrThrow(text, "kernel", cache_);
-                ctx->info =
-                    kernelInfoOrThrow(*ctx->kernel, "kernel", cache_);
+                ctx->kernel = core::loadKernel(opts_.kernel, &cache_);
             });
         graph.add(
             "serve:profile",
             [&](const runtime::JobContext&) {
                 ctx->profile_digest =
                     core::ArtifactDigest::of(core::profileTextCached(
-                        ctx->kernel_digest, *ctx->kernel, ctx->info,
-                        opts_.profile_base_iters, &cache_, &ctx->profile));
+                        ctx->kernel.digest, *ctx->kernel.module,
+                        ctx->kernel.info, opts_.profile_base_iters,
+                        &cache_, &ctx->profile));
             },
             {kernel_job});
         graph.run(pool_);
@@ -400,7 +354,7 @@ Server::resolveImage(const Json& params, std::string* error,
 
     ContextPtr ctx = context();
     const std::string key = core::imageCacheKey(
-        ctx->kernel_digest, ctx->profile_digest, opt, defense);
+        ctx->kernel.digest, ctx->profile_digest, opt, defense);
     if (ImagePtr entry = imageFromRegistry(key))
         return entry;
 
@@ -414,21 +368,11 @@ Server::resolveImage(const Json& params, std::string* error,
             runtime::JobGraph graph;
             graph.add("serve:image:" + key,
                       [&](const runtime::JobContext&) {
-                          built->text = core::imageTextCached(
-                              ctx->kernel_digest, *ctx->kernel,
-                              ctx->profile_digest, ctx->profile, opt,
-                              defense, &cache_);
-                          built->digest =
-                              core::ArtifactDigest::of(built->text);
-                          built->module = parsedOrThrow(
-                              built->text, "image", cache_);
-                          built->info = kernelInfoOrThrow(
-                              *built->module, "image", cache_);
-                          built->booted = core::bootImage(
-                              std::make_shared<
-                                  const uarch::DecodedModule>(
-                                  *built->module),
-                              built->info);
+                          built->image = core::loadImage(
+                              ctx->kernel, ctx->profile_digest,
+                              ctx->profile, opt, defense,
+                              core::MeasureConfig{}.params, &cache_,
+                              &built->text);
                       });
             graph.run(pool_);
             registerImage(built);
@@ -466,7 +410,7 @@ Server::handleOptimize(const Json& params, bool* coalesced)
     result.set("image", entry->key);
     result.set("bytes", static_cast<int64_t>(entry->text.size()));
     result.set("functions",
-               static_cast<int64_t>(entry->module->numFunctions()));
+               static_cast<int64_t>(entry->image.module->numFunctions()));
     result.set("defense", entry->defense.name());
     if (params["want_text"].asBool(false))
         result.set("text", entry->text);
@@ -478,7 +422,7 @@ Server::handleMeasure(const Json& params, bool* coalesced)
 {
     Admission slot(gate_, metrics_);
     const std::string& workload = params["workload"].asString();
-    if (valid_workloads_.count(workload) == 0)
+    if (!workload::makeWorkload(workload))
         throw std::runtime_error("unknown workload '" + workload +
                                  "'");
     std::string error;
@@ -496,8 +440,9 @@ Server::handleMeasure(const Json& params, bool* coalesced)
             graph.add("serve:measure:" + workload,
                       [&](const runtime::JobContext&) {
                           out = core::measureWorkloadCached(
-                              entry->digest, *entry->booted,
-                              entry->info, workload, config, &cache_);
+                              entry->image.digest, *entry->image.booted,
+                              entry->image.info, workload, config,
+                              &cache_);
                       });
             graph.run(pool_);
             return out;
@@ -551,7 +496,7 @@ Server::handleCheck(const Json& params, bool* coalesced)
     // The one shared gate (`runChecksWithPolicy`) guarantees the
     // daemon's verdict matches `pibe check --fail-on` exactly.
     check::CheckOutcome outcome =
-        check::runChecksWithPolicy(*entry->module, copts, *fail_on);
+        check::runChecksWithPolicy(*entry->image.module, copts, *fail_on);
 
     Json result = Json::object();
     result.set("image", entry->key);
@@ -847,7 +792,7 @@ Server::wait()
         victim->thread.join();
     }
 
-    pool_.stop(runtime::ThreadPool::StopMode::kDrain);
+    pool_.stop();
     if (!opts_.socket_path.empty())
         ::unlink(opts_.socket_path.c_str());
     inform("serve: stopped (", metrics_.snapshot(cache_.stats())

@@ -43,7 +43,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,7 +57,6 @@
 #include "serve/json.h"
 #include "serve/metrics.h"
 #include "serve/session.h"
-#include "uarch/decoded_module.h"
 
 namespace pibe::serve {
 
@@ -170,28 +168,24 @@ class Server
     MetricsSnapshot metricsSnapshot() const;
 
   private:
-    /** Pipeline context: kernel + training profile, built once. Each
+    /** Pipeline context: kernel + training profile, loaded once. Each
      *  text is hashed once here; image keys chain the digests. */
     struct Context
     {
-        core::ArtifactDigest kernel_digest;
-        std::unique_ptr<ir::Module> kernel;
-        kernel::KernelInfo info;
+        core::KernelArtifact kernel;
         core::ArtifactDigest profile_digest;
         profile::EdgeProfile profile;
     };
 
-    /** One production image, decoded, booted and hashed once, shared
-     *  by measurements (serve always measures with the default
-     *  core::MeasureConfig). */
+    /** One production image, loaded once (decoded, booted and hashed)
+     *  and shared by measurements (serve always measures with the
+     *  default core::MeasureConfig). `text` answers `bytes` and
+     *  `want_text`. */
     struct ImageEntry
     {
         std::string key;
         std::string text;
-        core::ArtifactDigest digest;
-        std::unique_ptr<ir::Module> module;
-        kernel::KernelInfo info;
-        std::unique_ptr<const uarch::Simulator> booted;
+        core::ImageArtifact image;
         harden::DefenseConfig defense;
     };
 
@@ -201,7 +195,7 @@ class Server
     void registerKnobs();
     ContextPtr context();
 
-    /** Resolve params to an image (build + decode on miss). */
+    /** Resolve params to an image (load on miss). */
     ImagePtr resolveImage(const Json& params, std::string* error,
                           bool* coalesced);
     ImagePtr imageFromRegistry(const std::string& key);
@@ -256,8 +250,6 @@ class Server
     std::mutex knobs_mu_; ///< Guards the string-valued knob state.
     std::string default_defense_;
     std::string fail_on_;
-
-    std::set<std::string> valid_workloads_;
 
     // Listener / session plumbing.
     std::vector<int> listen_fds_;

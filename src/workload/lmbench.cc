@@ -370,7 +370,19 @@ makeLmbenchTest(const std::string& name)
         if (name == spec.name)
             return spec.make();
     }
-    PIBE_FATAL("unknown LMBench test: ", name);
+    return nullptr;
+}
+
+std::unique_ptr<Workload>
+makeWorkload(const std::string& name)
+{
+    if (name == "nginx")
+        return makeNginxWorkload();
+    if (name == "apache")
+        return makeApacheWorkload();
+    if (name == "dbench")
+        return makeDbenchWorkload();
+    return makeLmbenchTest(name);
 }
 
 } // namespace pibe::workload

@@ -113,13 +113,17 @@ std::vector<std::unique_ptr<Workload>> makeLmbenchSuite();
 /** The LMBench subset of Table 3 (retpoline-sensitive tests). */
 std::vector<std::string> lmbenchRetpolineSubset();
 
-/** One LMBench test by name; fatal if unknown. */
+/** One LMBench test by name; nullptr if unknown. */
 std::unique_ptr<Workload> makeLmbenchTest(const std::string& name);
 
 /** Macrobenchmarks of Table 7. */
 std::unique_ptr<Workload> makeNginxWorkload();
 std::unique_ptr<Workload> makeApacheWorkload();
 std::unique_ptr<Workload> makeDbenchWorkload();
+
+/** An LMBench test or "nginx" / "apache" / "dbench" by name; nullptr
+ *  if unknown. The one name table of the engine, serve and the CLI. */
+std::unique_ptr<Workload> makeWorkload(const std::string& name);
 
 } // namespace pibe::workload
 

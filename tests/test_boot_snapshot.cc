@@ -44,18 +44,6 @@ paperWorkloadNames()
     return names;
 }
 
-std::unique_ptr<workload::Workload>
-makeWorkload(const std::string& name)
-{
-    if (name == "nginx")
-        return workload::makeNginxWorkload();
-    if (name == "apache")
-        return workload::makeApacheWorkload();
-    if (name == "dbench")
-        return workload::makeDbenchWorkload();
-    return workload::makeLmbenchTest(name);
-}
-
 bool
 sameStats(const uarch::RunStats& a, const uarch::RunStats& b)
 {
@@ -74,7 +62,7 @@ Observed
 runMeasured(uarch::Simulator& sim, const kernel::KernelInfo& info,
             const std::string& name, const core::MeasureConfig& cfg)
 {
-    auto wl = makeWorkload(name);
+    auto wl = workload::makeWorkload(name);
     workload::KernelHandle handle(sim, info);
     wl->setup(handle);
     for (uint32_t i = 0; i < cfg.warmup_iters; ++i)
@@ -188,7 +176,7 @@ TEST_F(BootSnapshotTest, CopiedPrototypeEqualsFreshBoot)
                 << img.name << "/" << name;
             EXPECT_EQ(fresh.sink, copied.sink) << img.name << "/" << name;
 
-            auto wl = makeWorkload(name);
+            auto wl = workload::makeWorkload(name);
             const core::Measurement m =
                 core::measureWorkload(booted, img.info, *wl, cfg);
             EXPECT_TRUE(sameStats(fresh.stats, m.stats))
@@ -210,7 +198,7 @@ TEST_F(BootSnapshotTest, CopyMidWorkloadContinuesLikeTheOriginal)
     for (const Image& img : *images_) {
         for (const char* name : {"select_tcp", "fork/exec", "nginx"}) {
             uarch::Simulator original(*core::bootImage(img.decoded, img.info));
-            auto wl = makeWorkload(name);
+            auto wl = workload::makeWorkload(name);
             workload::KernelHandle handle(original, img.info);
             wl->setup(handle);
             for (uint32_t i = 0; i < 20; ++i)
@@ -246,9 +234,9 @@ TEST_F(BootSnapshotTest, MeasuringLeavesThePrototypeUnchanged)
     const uarch::Simulator& booted = *prototype;
     const uarch::Simulator before(booted);
 
-    auto a1 = makeWorkload("select_tcp");
-    auto b = makeWorkload("fork/exec");
-    auto a2 = makeWorkload("select_tcp");
+    auto a1 = workload::makeWorkload("select_tcp");
+    auto b = workload::makeWorkload("fork/exec");
+    auto a2 = workload::makeWorkload("select_tcp");
     const core::Measurement first =
         core::measureWorkload(booted, img.info, *a1, cfg);
     core::measureWorkload(booted, img.info, *b, cfg);
@@ -289,7 +277,7 @@ TEST_F(BootSnapshotTest, ConcurrentCopiesOfOnePrototype)
                                             "tcp"};
     std::vector<uarch::RunStats> serial;
     for (const std::string& name : names) {
-        auto wl = makeWorkload(name);
+        auto wl = workload::makeWorkload(name);
         serial.push_back(
             core::measureWorkload(booted, img.info, *wl, cfg).stats);
     }
@@ -297,7 +285,7 @@ TEST_F(BootSnapshotTest, ConcurrentCopiesOfOnePrototype)
     std::vector<std::thread> threads;
     for (size_t t = 0; t < names.size(); ++t) {
         threads.emplace_back([&, t] {
-            auto wl = makeWorkload(names[t]);
+            auto wl = workload::makeWorkload(names[t]);
             parallel[t] =
                 core::measureWorkload(booted, img.info, *wl, cfg).stats;
         });
@@ -318,7 +306,7 @@ TEST_F(BootSnapshotTest, MisuseIsAnInvariantViolation)
     core::MeasureConfig cfg = quickConfig();
     const auto booted = core::bootImage(img.decoded, img.info);
     cfg.params.cost_retpoline += 1;
-    auto wl = makeWorkload("null");
+    auto wl = workload::makeWorkload("null");
     EXPECT_DEATH(core::measureWorkload(*booted, img.info, *wl, cfg),
                  "other cost params");
 

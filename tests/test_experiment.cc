@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <stdexcept>
 
 #include "ir/printer.h"
@@ -248,6 +251,100 @@ TEST(EngineCacheDir, UnusableDirectoryIsAnError)
         EXPECT_EQ(e.what(), *error);
     }
     fs::remove(file);
+}
+
+// A corrupt cached artifact of any stage is a cache miss: the engine
+// recomputes it, puts it over the bad entry and counts it, and the
+// results are bit-identical to a clean run. Kernel and image artifacts
+// get garbage text and an empty file, which parses as an empty module
+// that is not a kernel.
+TEST(Engine, CorruptDiskCacheArtifactsAreRecomputed)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("pibe_engine_corrupt_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+
+    core::ExperimentPlan plan;
+    plan.kernel.num_drivers = 6;
+    plan.profile_base_iters = 2;
+    plan.measure = quickMeasure();
+    // Neither image prints as the kernel does, so the artifacts can be
+    // told apart by their text.
+    plan.addImage("all", core::OptConfig::none(),
+                  harden::DefenseConfig::all());
+    plan.addImage("icp", core::OptConfig::icpOnly(0.99),
+                  harden::DefenseConfig::retpolinesOnly());
+    for (const char* image : {"all", "icp"})
+        plan.measureOn(image, "read");
+    core::EngineOptions opts;
+    opts.jobs = 2;
+    opts.cache_dir = dir.string();
+
+    // Doubles as bit patterns, so == means bit-identical.
+    auto dump = [](const core::ExperimentResults& results) {
+        std::string out;
+        for (const auto& [image, runs] : results.measurements)
+            for (const auto& [wl, m] : runs)
+                out += image + "/" + wl + " " +
+                       std::to_string(std::bit_cast<uint64_t>(m.latency_us)) +
+                       " " +
+                       std::to_string(
+                           std::bit_cast<uint64_t>(m.ops_per_sec)) +
+                       " " + std::to_string(m.stats.cycles) + "\n";
+        return out;
+    };
+    auto readAll = [](const fs::path& p) {
+        std::ifstream in(p, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    const std::string clean = dump(core::runExperiments(plan, opts));
+
+    // Sort the artifacts by class.
+    const std::string kernel_text =
+        core::kernelTextCached(plan.kernel, nullptr);
+    std::map<fs::path, std::string> clean_bytes;
+    fs::path kernel_art, profile_art;
+    std::vector<fs::path> images, measurements;
+    for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+        if (e.path().extension() != ".art")
+            continue;
+        const std::string text = readAll(e.path());
+        clean_bytes[e.path()] = text;
+        if (text == kernel_text)
+            kernel_art = e.path();
+        else if (text.rfind("pibe-profile v1\n", 0) == 0)
+            profile_art = e.path();
+        else if (text.rfind("pibe-measurement v2\n", 0) == 0)
+            measurements.push_back(e.path());
+        else
+            images.push_back(e.path());
+    }
+    ASSERT_FALSE(kernel_art.empty());
+    ASSERT_FALSE(profile_art.empty());
+    ASSERT_EQ(images.size(), 2u);
+    ASSERT_EQ(measurements.size(), 2u);
+
+    for (const std::string bad_module : {"not a PIR module\n", ""}) {
+        SCOPED_TRACE("bad module '" + bad_module + "'");
+        const std::map<fs::path, std::string> corrupted = {
+            {kernel_art, bad_module},
+            {images[0], bad_module},
+            {profile_art, "not a profile\n"},
+            {measurements[0], "not a measurement\n"},
+        };
+        for (const auto& [path, bytes] : corrupted)
+            std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+        const core::ExperimentResults rerun =
+            core::runExperiments(plan, opts);
+        EXPECT_EQ(dump(rerun), clean);
+        EXPECT_EQ(rerun.cache.corrupt, corrupted.size());
+        for (const auto& [path, bytes] : corrupted)
+            EXPECT_EQ(readAll(path), clean_bytes[path]) << path;
+    }
+    fs::remove_all(dir);
 }
 
 } // namespace

@@ -68,9 +68,9 @@ TEST(RuntimeThreadPool, ShutdownDrainsQueuedWork)
         for (int i = 0; i < 100; ++i)
             pool.submit(
                 [&counter] { counter.fetch_add(1); });
-        pool.shutdown(); // Must finish everything already queued.
+        pool.stop(); // Must finish everything already queued.
         EXPECT_EQ(counter.load(), 100);
-        pool.shutdown(); // Idempotent.
+        pool.stop(); // Idempotent.
     }
     EXPECT_EQ(counter.load(), 100);
 }
@@ -98,71 +98,11 @@ TEST(RuntimeThreadPool, StopDrainRunsEverythingSubmitted)
     for (int i = 0; i < 200; ++i)
         futures.push_back(
             pool.submit([&counter] { counter.fetch_add(1); }));
-    pool.stop(ThreadPool::StopMode::kDrain);
+    pool.stop();
     EXPECT_EQ(counter.load(), 200);
     EXPECT_EQ(pool.tasksRun(), 200u);
-    EXPECT_EQ(pool.cancelledTasks(), 0u);
     for (auto& f : futures)
         EXPECT_NO_THROW(f.get());
-}
-
-TEST(RuntimeThreadPool, StopCancelDropsQueuedWork)
-{
-    // One worker blocked on a gate guarantees a backlog; kCancel must
-    // account for every queued task (run + cancelled = submitted) and
-    // break the dropped tasks' futures instead of leaving them hung.
-    std::mutex mu;
-    std::condition_variable cv;
-    bool started = false;
-    bool release = false;
-    ThreadPool pool(1);
-    auto blocker = pool.submit([&] {
-        std::unique_lock<std::mutex> lock(mu);
-        started = true;
-        cv.notify_all();
-        cv.wait(lock, [&] { return release; });
-    });
-    // Wait until the worker has dequeued the blocker: only then are
-    // all 50 tasks below guaranteed to sit in the queue at stop().
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return started; });
-    }
-    std::vector<std::future<void>> queued;
-    for (int i = 0; i < 50; ++i)
-        queued.push_back(pool.submit([] {}));
-    // stop(kCancel) clears the queue before joining workers, so the
-    // cancel count reaches 50 while the blocker still holds the one
-    // worker — then we release it and the join completes.
-    std::thread stopper(
-        [&] { pool.stop(ThreadPool::StopMode::kCancel); });
-    while (pool.cancelledTasks() != 50)
-        std::this_thread::yield();
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        release = true;
-    }
-    cv.notify_all();
-    stopper.join();
-    blocker.get();
-    EXPECT_EQ(pool.tasksRun(), 1u);
-    EXPECT_EQ(pool.cancelledTasks(), 50u);
-    EXPECT_EQ(pool.tasksRun() + pool.cancelledTasks(),
-              pool.tasksSubmitted());
-    size_t broken = 0;
-    for (auto& f : queued) {
-        try {
-            f.get();
-            ADD_FAILURE() << "cancelled future did not break";
-        } catch (const std::future_error& e) {
-            EXPECT_EQ(e.code(),
-                      std::make_error_code(
-                          std::future_errc::broken_promise));
-            ++broken;
-        }
-    }
-    EXPECT_EQ(broken, 50u);
-    pool.stop(ThreadPool::StopMode::kCancel); // Idempotent.
 }
 
 // ---------------------------------------------------------------------

@@ -64,9 +64,19 @@ TEST_F(WorkloadTest, RetpolineSubsetIsFromTheSuite)
     }
 }
 
-TEST_F(WorkloadTest, UnknownTestNameDies)
+TEST_F(WorkloadTest, UnknownNameIsNull)
 {
-    EXPECT_DEATH(workload::makeLmbenchTest("bogus"), "unknown LMBench");
+    EXPECT_EQ(workload::makeLmbenchTest("bogus"), nullptr);
+    EXPECT_EQ(workload::makeWorkload("bogus"), nullptr);
+    EXPECT_EQ(workload::makeLmbenchTest("nginx"), nullptr);
+}
+
+TEST_F(WorkloadTest, OneNameTableCoversEveryWorkload)
+{
+    for (const auto& wl : workload::makeLmbenchSuite())
+        EXPECT_EQ(workload::makeWorkload(wl->name())->name(), wl->name());
+    for (const char* name : {"nginx", "apache", "dbench"})
+        EXPECT_EQ(workload::makeWorkload(name)->name(), name);
 }
 
 TEST_F(WorkloadTest, EveryLmbenchTestRuns)

@@ -171,22 +171,17 @@ writeFile(const std::string& path, const std::string& contents)
 }
 
 /**
- * The one verification choke point for module input: every subcommand
- * that consumes PIR text funnels through here (or through check::
- * runChecks, which subsumes the verifier).
+ * The verification choke point for module input: every subcommand that
+ * consumes PIR text funnels through here, through loadImageFile()
+ * (core::loadImageText verifies) or through check::runChecks, which
+ * subsumes the verifier.
  */
-ir::Module
-parseAndVerify(const std::string& text, const std::string& context)
-{
-    ir::Module m = ir::parseModule(text);
-    ir::verifyOrDie(m, context);
-    return m;
-}
-
 ir::Module
 loadModule(const std::string& path)
 {
-    return parseAndVerify(readFile(path), path);
+    ir::Module m = ir::parseModule(readFile(path));
+    ir::verifyOrDie(m, path);
+    return m;
 }
 
 /** Split a comma-separated list; empty input yields an empty list. */
@@ -221,22 +216,26 @@ defenseByName(const std::string& name)
     PIBE_FATAL("unknown defense '", name, "'");
 }
 
-std::vector<std::unique_ptr<workload::Workload>>
-workloadByName(const std::string& name)
+std::unique_ptr<workload::Workload>
+workloadOrDie(const std::string& name)
 {
-    std::vector<std::unique_ptr<workload::Workload>> suite;
-    if (name == "lmbench") {
-        suite = workload::makeLmbenchSuite();
-    } else if (name == "apache") {
-        suite.push_back(workload::makeApacheWorkload());
-    } else if (name == "nginx") {
-        suite.push_back(workload::makeNginxWorkload());
-    } else if (name == "dbench") {
-        suite.push_back(workload::makeDbenchWorkload());
-    } else {
-        suite.push_back(workload::makeLmbenchTest(name));
-    }
-    return suite;
+    // The library's name table is the one source of truth; the CLI
+    // only adds the fatal-on-typo policy.
+    if (std::unique_ptr<workload::Workload> wl = workload::makeWorkload(name))
+        return wl;
+    PIBE_FATAL("unknown workload '", name, "'");
+}
+
+/** An image file, loaded for measurement; fatal on bad input. */
+core::ImageArtifact
+loadImageFile(const std::string& path)
+{
+    std::string error;
+    std::optional<core::ImageArtifact> image =
+        core::loadImageText(readFile(path), error);
+    if (!image)
+        PIBE_FATAL(path, ": ", error);
+    return std::move(*image);
 }
 
 int
@@ -268,7 +267,12 @@ cmdProfile(Args& args)
         // CLI run is byte-comparable with their cached artifacts.
         profile = core::collectLmbenchProfile(m, info, iters);
     } else {
-        auto suite = workloadByName(args.get("--workload", "lmbench"));
+        const std::string name = args.get("--workload", "lmbench");
+        std::vector<std::unique_ptr<workload::Workload>> suite;
+        if (name == "lmbench")
+            suite = workload::makeLmbenchSuite();
+        else
+            suite.push_back(workloadOrDie(name));
         profile = core::collectProfile(m, info, suite, iters);
     }
     std::string out = args.get("-o", "profile.txt");
@@ -334,12 +338,16 @@ cmdOptimize(Args& args)
 int
 cmdMeasure(Args& args)
 {
-    const std::string image_path = args.get("-m", "image.pir");
-    const std::string image_text = readFile(image_path);
-    ir::Module m = parseAndVerify(image_text, image_path);
-    kernel::KernelInfo info = kernel::kernelInfoFromModule(m);
+    using Clock = std::chrono::steady_clock;
+    // Each image is loaded once (hashed, decoded and booted); every
+    // job measures on a copy of its prototype.
+    const core::ImageArtifact image =
+        loadImageFile(args.get("-m", "image.pir"));
     std::string test = args.get("--test", "all");
     std::string baseline_path = args.get("--baseline");
+    std::optional<core::ImageArtifact> base;
+    if (!baseline_path.empty())
+        base = loadImageFile(baseline_path);
     unsigned jobs = static_cast<unsigned>(
         std::stoul(args.get("--jobs", "1")));
     std::string cache_dir = args.get("--cache-dir");
@@ -348,48 +356,19 @@ cmdMeasure(Args& args)
     const bool decode_stats =
         args.has("--decode-stats") || !decode_stats_json.empty();
 
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point decode_t0 = Clock::now();
-    const auto decoded = std::make_shared<const uarch::DecodedModule>(m);
-    const double decode_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() -
-                                                  decode_t0)
-            .count();
-
     runtime::ArtifactCache cache;
     if (!cache_dir.empty()) {
         if (std::optional<std::string> error = cache.setDiskDir(cache_dir))
             PIBE_FATAL(*error);
     }
-    // Each image text is hashed once; every measurement key chains it.
-    const core::ArtifactDigest image_digest =
-        core::ArtifactDigest::of(image_text);
-    core::ArtifactDigest base_digest;
 
     std::vector<std::string> tests;
     if (test == "all") {
         for (const auto& wl : workload::makeLmbenchSuite())
             tests.push_back(wl->name());
     } else {
-        tests.push_back(test);
+        tests.push_back(workloadOrDie(test)->name());
     }
-
-    std::string base_text;
-    std::unique_ptr<ir::Module> base_mod;
-    kernel::KernelInfo base_info;
-    std::unique_ptr<const uarch::Simulator> base_booted;
-    if (!baseline_path.empty()) {
-        base_text = readFile(baseline_path);
-        base_mod = std::make_unique<ir::Module>(
-            parseAndVerify(base_text, baseline_path));
-        base_digest = core::ArtifactDigest::of(base_text);
-        base_info = kernel::kernelInfoFromModule(*base_mod);
-        base_booted = core::bootImage(
-            std::make_shared<const uarch::DecodedModule>(*base_mod),
-            base_info);
-    }
-    // Decode and boot each image once; every job measures on a copy.
-    const auto booted = core::bootImage(decoded, info);
 
     // One job per (image, test), each writing its own pre-sized slot;
     // results are position-addressed so --jobs N output is identical
@@ -408,8 +387,8 @@ cmdMeasure(Args& args)
                       const Clock::time_point t0 = Clock::now();
                       const core::Measurement meas =
                           core::measureWorkloadCached(
-                              image_digest, *booted, info, tests[i],
-                              config, &cache);
+                              image.digest, *image.booted, image.info,
+                              tests[i], config, &cache);
                       run_ms[i] = std::chrono::duration<double,
                                                         std::milli>(
                                       Clock::now() - t0)
@@ -418,12 +397,12 @@ cmdMeasure(Args& args)
                       run_insts[i] = meas.stats.instructions;
                       run_fused[i] = meas.stats.fused;
                   });
-        if (base_mod) {
+        if (base) {
             graph.add("baseline:" + tests[i],
                       [&, i](const runtime::JobContext&) {
                           base_lat[i] =
                               core::measureWorkloadCached(
-                                  base_digest, *base_booted, base_info,
+                                  base->digest, *base->booted, base->info,
                                   tests[i], config, &cache)
                                   .latency_us;
                       });
@@ -431,7 +410,7 @@ cmdMeasure(Args& args)
     }
     runtime::ThreadPool pool(std::max(1u, jobs));
     graph.run(pool);
-    pool.shutdown();
+    pool.stop();
 
     Table t(baseline_path.empty()
                 ? std::vector<std::string>{"Test", "latency (us)"}
@@ -440,7 +419,7 @@ cmdMeasure(Args& args)
     std::vector<double> overheads;
     for (size_t i = 0; i < tests.size(); ++i) {
         std::vector<std::string> row{tests[i], fixedStr(lat[i], 3)};
-        if (base_mod) {
+        if (base) {
             double o = overhead(lat[i], base_lat[i]);
             overheads.push_back(o);
             row.push_back(percent(o));
@@ -455,6 +434,12 @@ cmdMeasure(Args& args)
     std::printf("%s", t.render().c_str());
 
     if (decode_stats) {
+        // Decode once more, to time decoding alone.
+        const Clock::time_point decode_t0 = Clock::now();
+        const uarch::DecodedModule decoded(*image.module);
+        const double decode_ms = std::chrono::duration<double, std::milli>(
+                                     Clock::now() - decode_t0)
+                                     .count();
         // Host-side interpreter throughput: simulated instructions per
         // host second of each measurement run (warmup + measured
         // phases). A cache hit replays stored counters without
@@ -473,10 +458,10 @@ cmdMeasure(Args& args)
         dt.addRow({"decode time (ms)", "-", fixedStr(decode_ms, 2),
                    "-"});
         dt.addRow({"decoded stream",
-                   std::to_string(decoded->decodedBytes()) + " bytes",
+                   std::to_string(decoded.decodedBytes()) + " bytes",
                    "-", "-"});
         dt.addRow({"decoded insts",
-                   std::to_string(decoded->code().size()), "-", "-"});
+                   std::to_string(decoded.code().size()), "-", "-"});
         std::printf("\ndecode stats:\n%s", dt.render().c_str());
 
         // The evidence the superinstruction set was selected from:
@@ -484,7 +469,7 @@ cmdMeasure(Args& args)
         // often each fusion family fired statically (rewritten sites)
         // and dynamically (superinstruction executions summed over
         // the measured workloads).
-        const uarch::DecodeStats& ds = decoded->decodeStats();
+        const uarch::DecodeStats& ds = decoded.decodeStats();
         Table ot({"opcode", "static count"});
         for (size_t o = 0; o < uarch::kNumIrOpcodes; ++o) {
             if (ds.op_count[o] == 0)
@@ -546,9 +531,9 @@ cmdMeasure(Args& args)
             std::fprintf(out, "{\n");
             std::fprintf(out, "  \"decode_ms\": %.3f,\n", decode_ms);
             std::fprintf(out, "  \"decoded_insts\": %zu,\n",
-                         decoded->code().size());
+                         decoded.code().size());
             std::fprintf(out, "  \"decoded_bytes\": %zu,\n",
-                         decoded->decodedBytes());
+                         decoded.decodedBytes());
             std::fprintf(out, "  \"opcodes\": {");
             bool first = true;
             for (size_t o = 0; o < uarch::kNumIrOpcodes; ++o) {
@@ -694,7 +679,7 @@ int
 cmdCheck(Args& args)
 {
     const std::string path = args.get("-m", "kernel.pir");
-    // Deliberately no parseAndVerify: the suite reports verifier
+    // Deliberately no loadModule: the suite reports verifier
     // findings as diagnostics instead of dying on the first one.
     ir::Module m = ir::parseModule(readFile(path));
 
@@ -1361,12 +1346,12 @@ cmdSelftest()
         harden::DefenseConfig::all(), &report);
     writeFile(dir + "/image.pir", ir::printModule(image));
 
-    ir::Module reloaded = loadModule(dir + "/image.pir");
-    kernel::KernelInfo rinfo = kernel::kernelInfoFromModule(reloaded);
-    uarch::Simulator sim(reloaded);
-    workload::KernelHandle handle(sim, rinfo);
-    handle.boot();
-    int64_t pid = handle.syscall(kernel::sysno::kNull);
+    // Reloaded as `pibe measure` loads an image: parsed, verified and
+    // booted.
+    const core::ImageArtifact reloaded = loadImageFile(dir + "/image.pir");
+    uarch::Simulator sim(*reloaded.booted);
+    int64_t pid = workload::KernelHandle(sim, reloaded.info)
+                      .syscall(kernel::sysno::kNull);
     if (pid != 1)
         PIBE_FATAL("selftest: reloaded kernel misbehaves (pid=", pid,
                    ")");
@@ -1386,7 +1371,7 @@ cmdSelftest()
     check::CheckOptions copts;
     copts.coverage = true;
     copts.defense = harden::DefenseConfig::all();
-    check::CheckReport cr = check::runChecks(reloaded, copts);
+    check::CheckReport cr = check::runChecks(*reloaded.module, copts);
     if (cr.errors() != 0)
         PIBE_FATAL("selftest: image audit found ", cr.errors(),
                    " error(s): ", cr.diags.front().render());

@@ -140,9 +140,24 @@ echo "== residual-attack-surface report (pibe surface) =="
     -p "$WORK/surface-prof.txt" --json "$SURFACE_JSON" --fail-on warn
 
 # Provenance stamp: every BENCH_*.json records where its numbers came
-# from, so checked-in baselines are auditable.
-GIT_SHA=$(git -C "$(dirname "$0")/.." rev-parse --short HEAD \
-    2>/dev/null || echo unknown)
+# from, so checked-in baselines are auditable. git_sha is the checked
+# out commit, not an uncommitted change; source_digest names the tree
+# measured, as perfbench/run.py's source_digest() digests its own:
+# sha256 over the path and bytes of each file, in os.walk order with
+# sorted names.
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+GIT_SHA=$(git -C "$ROOT" rev-parse --short HEAD 2>/dev/null \
+    || echo unknown)
+SOURCE_DIGEST=$(cd "$ROOT" && python3 -c '
+import hashlib, os
+h = hashlib.sha256()
+for top in ("src", "bench", "tools", "CMakeLists.txt"):
+    walk = os.walk(top) if os.path.isdir(top) else [("", [], [top])]
+    for dirpath, dirnames, filenames in walk:
+        dirnames.sort()
+        for path in (os.path.join(dirpath, n) for n in sorted(filenames)):
+            h.update(path.encode() + open(path, "rb").read())
+print(h.hexdigest()[:16])')
 CPU_MODEL=$(awk -F': ' '/model name/ { print $2; exit }' \
     /proc/cpuinfo 2>/dev/null || echo unknown)
 CXX_ID=$("${CXX:-c++}" --version 2>/dev/null | head -1 || echo unknown)
@@ -152,6 +167,7 @@ STAMP_UTC=$(date -u +%Y-%m-%dT%H:%M:%SZ)
     echo "{"
     echo "  \"provenance\": {"
     echo "    \"git_sha\": \"$GIT_SHA\","
+    echo "    \"source_digest\": \"$SOURCE_DIGEST\","
     echo "    \"compiler\": \"$CXX_ID\","
     echo "    \"cpu\": \"$CPU_MODEL\","
     echo "    \"timestamp_utc\": \"$STAMP_UTC\""
