@@ -6,8 +6,7 @@
  * want reachability; the dead-store and use-before-def lints both sit
  * on liveness/assignment facts), so the manager computes each analysis
  * lazily, once per function, and hands out const references. A pass
- * that mutates a function must invalidate() it (or invalidateAll()
- * after a module-wide pass) before querying again.
+ * that mutates a function must invalidate() it before querying again.
  *
  * Next to the analyses the manager caches each function's verify and
  * lint findings, so a pass sandwich re-audits only the functions a
@@ -21,7 +20,7 @@
  * and storeLintFindings() may run concurrently on *distinct* functions
  * (each function owns one slot, pre-sized by the constructor and
  * syncShape(); the hit and computation counters are atomic). Everything
- * else — targetSets(), invalidate(), invalidateAll(), syncShape() —
+ * else — targetSets(), invalidate(), syncShape() —
  * is caller-only: no other call may be in flight. runChecks() fills the
  * slots of cache-missed functions on a runtime::parallelFor sweep and
  * then reads them back in FuncId order on the calling thread.
@@ -136,17 +135,6 @@ class AnalysisManager
             entries_[f] = Entry{};
         if (targets_)
             targets_->invalidateFunction(f);
-    }
-
-    /** Drop all cached analyses and findings (call after a
-     *  module-wide pass). */
-    void
-    invalidateAll()
-    {
-        for (Entry& e : entries_)
-            e = Entry{};
-        if (targets_)
-            targets_->invalidateAll();
     }
 
     /** Analyses computed since construction (cache-miss counter). */

@@ -17,8 +17,6 @@ severityName(Severity s)
     return "?";
 }
 
-namespace {
-
 std::string
 jsonEscape(const std::string& s)
 {
@@ -42,8 +40,6 @@ jsonEscape(const std::string& s)
     }
     return out;
 }
-
-} // namespace
 
 std::string
 Diagnostic::render() const

@@ -25,6 +25,13 @@ enum class Severity : uint8_t {
 
 const char* severityName(Severity s);
 
+/**
+ * `s` as the body of a JSON string literal (quotes, backslashes and
+ * control characters escaped). Every hand-written JSON writer of the
+ * checker and the CLI puts its strings through this.
+ */
+std::string jsonEscape(const std::string& s);
+
 /** One finding. */
 struct Diagnostic
 {

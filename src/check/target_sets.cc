@@ -31,6 +31,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "check/diagnostic.h"
 #include "harden/harden.h"
 #include "runtime/thread_pool.h"
 
@@ -1091,7 +1092,7 @@ renderSurfaceJson(const SurfaceReport& rep)
     std::ostringstream os;
     os << "{\n";
     os << "  \"bench\": \"surface\",\n";
-    os << "  \"module\": \"" << rep.module_name << "\",\n";
+    os << "  \"module\": \"" << jsonEscape(rep.module_name) << "\",\n";
     os << "  \"functions\": " << rep.functions << ",\n";
     os << "  \"address_taken\": " << rep.address_taken << ",\n";
     os << "  \"icall_sites\": " << rep.icall_sites << ",\n";
@@ -1113,7 +1114,7 @@ renderSurfaceJson(const SurfaceReport& rep)
     os << "  \"defenses\": [\n";
     for (size_t i = 0; i < rep.defenses.size(); ++i) {
         const SurfaceDefenseRow& row = rep.defenses[i];
-        os << "    {\"defense\": \"" << row.defense << "\", "
+        os << "    {\"defense\": \"" << jsonEscape(row.defense) << "\", "
            << "\"protected_icalls\": " << row.protected_icalls << ", "
            << "\"unprotected_icalls\": " << row.unprotected_icalls
            << ", "

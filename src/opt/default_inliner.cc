@@ -123,33 +123,8 @@ runDefaultInliner(ir::Module& module, profile::EdgeProfile& profile,
                     audit.eligible_weight += weight;
                     audit.touched.push_back(caller_id);
 
-                    const uint64_t callee_inv = orig_invocations[callee];
-                    for (const InheritedSite& inh : outcome.inherited) {
-                        if (callee_inv == 0 || weight == 0)
-                            break;
-                        if (inh.indirect) {
-                            for (const auto& tc :
-                                 profile.indirectTargets(inh.callee_site)) {
-                                uint64_t scaled = static_cast<uint64_t>(
-                                    static_cast<double>(tc.count) *
-                                    static_cast<double>(weight) /
-                                    static_cast<double>(callee_inv));
-                                if (scaled > 0) {
-                                    profile.addIndirect(inh.new_site,
-                                                        tc.target, scaled);
-                                }
-                            }
-                            continue;
-                        }
-                        uint64_t base =
-                            profile.directCount(inh.callee_site);
-                        uint64_t scaled = static_cast<uint64_t>(
-                            static_cast<double>(base) *
-                            static_cast<double>(weight) /
-                            static_cast<double>(callee_inv));
-                        if (scaled > 0)
-                            profile.addDirect(inh.new_site, scaled);
-                    }
+                    inheritProfileCounts(profile, outcome.inherited,
+                                         weight, orig_invocations[callee]);
 
                     costs.invalidate(caller_id);
                     changed = true;

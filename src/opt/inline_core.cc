@@ -190,4 +190,37 @@ inlineCallSite(ir::Module& module, ir::FuncId caller, ir::SiteId site)
     return outcome;
 }
 
+std::vector<InheritedCount>
+inheritProfileCounts(profile::EdgeProfile& profile,
+                     const std::vector<InheritedSite>& inherited,
+                     uint64_t edge_weight, uint64_t callee_invocations)
+{
+    std::vector<InheritedCount> direct;
+    if (callee_invocations == 0)
+        return direct;
+    auto scale = [&](uint64_t count) {
+        return static_cast<uint64_t>(static_cast<double>(count) *
+                                     static_cast<double>(edge_weight) /
+                                     static_cast<double>(callee_invocations));
+    };
+    for (const InheritedSite& inh : inherited) {
+        if (inh.indirect) {
+            // The inherited indirect site remains a hardening target
+            // (and an ICP candidate on a future optimization run).
+            for (const auto& tc : profile.indirectTargets(inh.callee_site)) {
+                const uint64_t scaled = scale(tc.count);
+                if (scaled > 0)
+                    profile.addIndirect(inh.new_site, tc.target, scaled);
+            }
+            continue;
+        }
+        const uint64_t scaled = scale(profile.directCount(inh.callee_site));
+        if (scaled == 0)
+            continue;
+        profile.addDirect(inh.new_site, scaled);
+        direct.push_back({inh.new_site, scaled});
+    }
+    return direct;
+}
+
 } // namespace pibe::opt

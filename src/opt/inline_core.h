@@ -4,8 +4,8 @@
  *
  * This is policy-free: deciding *which* sites to inline is the job of
  * the inliner passes (pibe_inliner.h, default_inliner.h); this header
- * implements the transformation itself plus the legality predicate
- * shared by all policies.
+ * implements the transformation itself plus what every policy shares:
+ * the legality predicate and the profile update of an inline step.
  */
 #ifndef PIBE_OPT_INLINE_CORE_H_
 #define PIBE_OPT_INLINE_CORE_H_
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "ir/module.h"
+#include "profile/edge_profile.h"
 
 namespace pibe::opt {
 
@@ -63,6 +64,28 @@ const char* inlineRefusalReason(const ir::Module& module,
  */
 InlineOutcome inlineCallSite(ir::Module& module, ir::FuncId caller,
                              ir::SiteId site);
+
+/** An inherited direct site and the count it inherited. */
+struct InheritedCount
+{
+    ir::SiteId site = ir::kNoSite;
+    uint64_t count = 0;
+};
+
+/**
+ * §5.2's constant-ratio heuristic, applied after one inline step of
+ * an edge with `edge_weight` into a callee profiled with
+ * `callee_invocations` calls: each call site copied from the callee
+ * inherits its profiled count scaled by edge_weight /
+ * callee_invocations (an indirect site its whole value profile).
+ * Returns the direct sites that inherited a nonzero count, in
+ * `inherited` order, so a policy can queue them. Nothing is inherited
+ * when `callee_invocations` is 0.
+ */
+std::vector<InheritedCount>
+inheritProfileCounts(profile::EdgeProfile& profile,
+                     const std::vector<InheritedSite>& inherited,
+                     uint64_t edge_weight, uint64_t callee_invocations);
 
 } // namespace pibe::opt
 

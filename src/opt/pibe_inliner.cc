@@ -178,42 +178,15 @@ runPibeInliner(ir::Module& module, profile::EdgeProfile& profile,
         audit.inlined_weight += c.weight;
         audit.touched.push_back(c.caller);
 
-        // Constant-ratio heuristic: each call site copied from the
-        // callee inherits its profiled count scaled by the ratio of
-        // this edge's weight to the callee's total invocation count.
+        // Constant-ratio heuristic; inherited direct sites hot enough
+        // join the queue.
         const uint64_t callee_inv =
             config.propagate_inherited_counts ? orig_invocations[callee]
                                               : 0;
-        for (const InheritedSite& inh : outcome.inherited) {
-            if (callee_inv == 0)
-                break;
-            if (inh.indirect) {
-                // Scale the whole value profile onto the new site; the
-                // inherited indirect site remains a hardening target
-                // (and an ICP candidate on a future optimization run).
-                for (const auto& tc :
-                     profile.indirectTargets(inh.callee_site)) {
-                    uint64_t scaled = static_cast<uint64_t>(
-                        static_cast<double>(tc.count) *
-                        static_cast<double>(c.weight) /
-                        static_cast<double>(callee_inv));
-                    if (scaled > 0)
-                        profile.addIndirect(inh.new_site, tc.target,
-                                            scaled);
-                }
-                continue;
-            }
-            uint64_t base = profile.directCount(inh.callee_site);
-            if (base == 0)
-                continue;
-            uint64_t scaled = static_cast<uint64_t>(
-                static_cast<double>(base) * static_cast<double>(c.weight) /
-                static_cast<double>(callee_inv));
-            if (scaled == 0)
-                continue;
-            profile.addDirect(inh.new_site, scaled);
-            if (scaled >= weight_cut)
-                queue.push({scaled, seq++, inh.new_site, c.caller});
+        for (const InheritedCount& inh : inheritProfileCounts(
+                 profile, outcome.inherited, c.weight, callee_inv)) {
+            if (inh.count >= weight_cut)
+                queue.push({inh.count, seq++, inh.site, c.caller});
         }
 
         if (config.cleanup_callers)

@@ -42,6 +42,9 @@ hashOptConfig(runtime::Digest& d, const OptConfig& opt)
 {
     d.add(opt.enable_icp)
         .add(opt.icp_budget)
+        .add(opt.icp_max_targets)
+        .add(opt.icp_total_promotion)
+        .add(opt.icp_total_promotion_max_targets)
         .add(static_cast<int64_t>(opt.inliner))
         .add(opt.inline_budget)
         .add(opt.lax_heuristics)
@@ -389,7 +392,7 @@ imageCacheKey(const ArtifactDigest& kernel_digest,
               const harden::DefenseConfig& defense)
 {
     runtime::Digest d;
-    d.add("pibe-image-v2").add(kernel_digest.hex).add(profile_digest.hex);
+    d.add("pibe-image-v3").add(kernel_digest.hex).add(profile_digest.hex);
     hashOptConfig(d, opt);
     hashDefenseConfig(d, defense);
     return d.hex();

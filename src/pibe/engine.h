@@ -137,7 +137,7 @@ ExperimentResults runExperiments(const ExperimentPlan& plan,
  * of re-hashing the text:
  *
  *   pibe-profile-v2  = (kernel digest, base iters)
- *   pibe-image-v2    = (kernel digest, profile digest, opt, defense)
+ *   pibe-image-v3    = (kernel digest, profile digest, opt, defense)
  *   pibe-measure-v3  = (decoded format version, image digest,
  *                       workload, MeasureConfig)
  *

@@ -6,7 +6,6 @@
 #include "check/sandwich.h"
 #include "check/target_sets.h"
 #include "ir/verifier.h"
-#include "opt/cleanup.h"
 
 namespace pibe::core {
 
@@ -154,13 +153,6 @@ tryBuildImage(const ir::Module& linked, const profile::EdgeProfile& profile,
       }
       case InlinerKind::kNone:
         break;
-    }
-
-    if (opt.module_cleanup) {
-        opt::cleanupModule(image);
-        am.invalidateAll(); // module-wide pass: everything changed
-        if (auto error = audit("cleanup", false, false))
-            return {std::nullopt, std::move(*error)};
     }
 
     std::vector<ir::FuncId> harden_touched;

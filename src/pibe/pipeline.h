@@ -68,10 +68,6 @@ struct OptConfig
     /** Rule 3 callee-complexity threshold. */
     int64_t rule3_callee_threshold = 3000;
 
-    /** Run the scalar/CFG cleanup pass after inlining. Off by default
-     *  so the evaluation's golden image statistics stay comparable. */
-    bool module_cleanup = false;
-
     /**
      * Pass-sandwich mode: run the `src/check` audit suite on the
      * pipeline input and again after every pass, record fresh findings

@@ -50,7 +50,8 @@ struct CacheStats
     uint64_t misses = 0;
     uint64_t puts = 0;
     /** Artifacts get() returned that the caller could not decode
-     *  (reported through noteCorrupt()); get() counted each as a hit. */
+     *  (reported through noteCorrupt()). get() counted each in its
+     *  tier's hits; hits() and hitRate() count each as a miss. */
     uint64_t corrupt = 0;
 
     uint64_t mem_evictions = 0;  ///< Entries LRU-evicted from memory.
@@ -66,8 +67,10 @@ struct CacheStats
     uint32_t inflight = 0;      ///< Gauge: get/put calls in progress.
     uint32_t peak_inflight = 0; ///< High-water mark of `inflight`.
 
-    uint64_t hits() const { return mem_hits + disk_hits; }
-    uint64_t lookups() const { return hits() + misses; }
+    /** Lookups answered with a usable artifact (every corrupt one
+     *  was first counted in a tier's hits). */
+    uint64_t hits() const { return mem_hits + disk_hits - corrupt; }
+    uint64_t lookups() const { return mem_hits + disk_hits + misses; }
 
     double
     hitRate() const

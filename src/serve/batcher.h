@@ -14,13 +14,12 @@
  *                                   before, any process);
  *   single-flight follower       -> no work, waits for the in-flight
  *                                   leader (concurrent duplicates);
- *   single-flight leader         -> computes once, admits its job
- *                                   graph into the shared pool.
+ *   single-flight leader         -> computes once.
  *
- * Leaders run the computation on the *calling* (session) thread and
- * fan work into the shared ThreadPool, so a follower blocking in
- * wait() never occupies a pool worker and the pool cannot deadlock on
- * itself.
+ * Leaders run the computation on the *calling* (session) thread; a
+ * follower blocks on its own session thread. Both already hold an
+ * admission slot, and a leader needs no other to finish, so the
+ * flight cannot deadlock on the gate.
  */
 #ifndef PIBE_SERVE_BATCHER_H_
 #define PIBE_SERVE_BATCHER_H_

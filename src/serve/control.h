@@ -8,8 +8,8 @@
  * runtime through `config get/set/list` requests — no restart, no
  * connection drop. The server registers knobs like `default_defense`
  * (the DefenseConfig applied to requests that name none),
- * `max_inflight` (admission limit), and `cache_budget` (disk-tier
- * bytes); every successful set is logged with old and new value, the
+ * `max_inflight` (the admission limit `--jobs` set at start), and
+ * `cache_budget` (disk-tier bytes); every successful set is logged with old and new value, the
  * way spec_ctrl prints mitigation transitions.
  */
 #ifndef PIBE_SERVE_CONTROL_H_

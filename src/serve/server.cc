@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdlib>
@@ -158,13 +159,9 @@ AdmissionGate::limit() const
 
 Server::Server(ServeOptions opts)
     : opts_(std::move(opts)),
-      pool_(opts_.jobs != 0 ? opts_.jobs
-                            : std::max(1u,
-                                       std::thread::
-                                           hardware_concurrency())),
-      gate_(opts_.max_inflight != 0
-                ? opts_.max_inflight
-                : 2 * static_cast<unsigned>(pool_.size())),
+      gate_(opts_.jobs != 0
+                ? opts_.jobs
+                : std::max(1u, std::thread::hardware_concurrency())),
       default_defense_(opts_.default_defense),
       fail_on_(opts_.fail_on)
 {
@@ -223,7 +220,8 @@ Server::registerKnobs()
         });
     control_.registerKnob(
         "max_inflight",
-        "heavy requests admitted concurrently (job limit)",
+        "optimize/measure/check requests admitted concurrently "
+        "(--jobs)",
         [this] { return std::to_string(gate_.limit()); },
         [this](const std::string& v) -> std::optional<std::string> {
             std::optional<uint64_t> n = parseUint(v);
@@ -255,36 +253,22 @@ Server::registerKnobs()
 Server::ContextPtr
 Server::context()
 {
-    {
-        std::lock_guard<std::mutex> lock(ctx_mu_);
-        if (ctx_)
-            return ctx_;
-    }
-    // Single-flight: the first request builds the kernel and its
-    // training profile (through the cache) as a job graph on the
-    // shared pool; concurrent first-requests wait for that flight.
-    return context_flight_.run("context", [this]() -> ContextPtr {
+    // The first request builds the kernel and its training profile
+    // (through the cache) under the lock; concurrent first requests
+    // wait for it. A build that throws leaves ctx_ empty, so a later
+    // request retries.
+    std::lock_guard<std::mutex> lock(ctx_mu_);
+    if (!ctx_) {
         auto ctx = std::make_shared<Context>();
-        runtime::JobGraph graph;
-        const runtime::JobId kernel_job = graph.add(
-            "serve:kernel", [&](const runtime::JobContext&) {
-                ctx->kernel = core::loadKernel(opts_.kernel, &cache_);
-            });
-        graph.add(
-            "serve:profile",
-            [&](const runtime::JobContext&) {
-                ctx->profile_digest =
-                    core::ArtifactDigest::of(core::profileTextCached(
-                        ctx->kernel.digest, *ctx->kernel.module,
-                        ctx->kernel.info, opts_.profile_base_iters,
-                        &cache_, &ctx->profile));
-            },
-            {kernel_job});
-        graph.run(pool_);
-        std::lock_guard<std::mutex> lock(ctx_mu_);
-        ctx_ = ctx;
-        return ctx_;
-    });
+        ctx->kernel = core::loadKernel(opts_.kernel, &cache_);
+        ctx->profile_digest =
+            core::ArtifactDigest::of(core::profileTextCached(
+                ctx->kernel.digest, *ctx->kernel.module,
+                ctx->kernel.info, opts_.profile_base_iters, &cache_,
+                &ctx->profile));
+        ctx_ = std::move(ctx);
+    }
+    return ctx_;
 }
 
 harden::DefenseConfig
@@ -365,16 +349,10 @@ Server::resolveImage(const Json& params, std::string* error,
             auto built = std::make_shared<ImageEntry>();
             built->key = key;
             built->defense = defense;
-            runtime::JobGraph graph;
-            graph.add("serve:image:" + key,
-                      [&](const runtime::JobContext&) {
-                          built->image = core::loadImage(
-                              ctx->kernel, ctx->profile_digest,
-                              ctx->profile, opt, defense,
-                              core::MeasureConfig{}.params, &cache_,
-                              &built->text);
-                      });
-            graph.run(pool_);
+            built->image = core::loadImage(
+                ctx->kernel, ctx->profile_digest, ctx->profile, opt,
+                defense, core::MeasureConfig{}.params, &cache_,
+                &built->text);
             registerImage(built);
             return built;
         },
@@ -389,7 +367,7 @@ Server::handlePing(const Json&)
 {
     Json result = Json::object();
     result.set("pong", true);
-    result.set("jobs", static_cast<int64_t>(pool_.size()));
+    result.set("jobs", static_cast<int64_t>(gate_.limit()));
     result.set("drivers",
                static_cast<int64_t>(opts_.kernel.num_drivers));
     result.set("seed", static_cast<int64_t>(opts_.kernel.seed));
@@ -434,18 +412,10 @@ Server::handleMeasure(const Json& params, bool* coalesced)
     BatchRole role = BatchRole::kLeader;
     core::Measurement m = measure_flight_.run(
         "measure:" + entry->key + ":" + workload,
-        [&]() -> core::Measurement {
-            core::Measurement out;
-            runtime::JobGraph graph;
-            graph.add("serve:measure:" + workload,
-                      [&](const runtime::JobContext&) {
-                          out = core::measureWorkloadCached(
-                              entry->image.digest, *entry->image.booted,
-                              entry->image.info, workload, config,
-                              &cache_);
-                      });
-            graph.run(pool_);
-            return out;
+        [&] {
+            return core::measureWorkloadCached(
+                entry->image.digest, *entry->image.booted,
+                entry->image.info, workload, config, &cache_);
         },
         &role);
     if (coalesced && role == BatchRole::kFollower)
@@ -792,7 +762,6 @@ Server::wait()
         victim->thread.join();
     }
 
-    pool_.stop();
     if (!opts_.socket_path.empty())
         ::unlink(opts_.socket_path.c_str());
     inform("serve: stopped (", metrics_.snapshot(cache_.stats())

@@ -7,9 +7,11 @@
  *
  *  - the pipeline context (synthetic kernel + canonical training
  *    profile for one KernelConfig), built once on first demand;
- *  - one shared runtime::ThreadPool that every request's job graph is
- *    admitted into, so a heavy optimize cannot starve cheap measures
- *    — fairness comes from the pool, not per-request threads;
+ *  - an AdmissionGate, the one concurrency limit (`--jobs`, adjustable
+ *    through the `max_inflight` knob): an admitted optimize, measure
+ *    or check runs to completion on its own session thread, and any
+ *    parallelism inside it comes from runtime::parallelFor's
+ *    process-wide helpers;
  *  - the runtime::ArtifactCache promoted to a shared tier: disk-backed,
  *    LRU-evicted under --cache-budget, safe against concurrent
  *    processes (lockfile + atomic rename);
@@ -51,7 +53,6 @@
 #include "kernel/kernel.h"
 #include "pibe/engine.h"
 #include "runtime/artifact_cache.h"
-#include "runtime/thread_pool.h"
 #include "serve/batcher.h"
 #include "serve/control.h"
 #include "serve/json.h"
@@ -67,7 +68,8 @@ struct ServeOptions
     std::string socket_path = "/tmp/pibe-serve.sock";
     /** Localhost TCP port (-1 = disabled, 0 = ephemeral). */
     int tcp_port = -1;
-    /** Shared pool workers (0 = hardware concurrency). */
+    /** Heavy requests admitted concurrently (0 = hardware
+     *  concurrency); the `max_inflight` knob adjusts it at runtime. */
     unsigned jobs = 0;
     /** Disk cache directory ("" = memory tiers only). */
     std::string cache_dir;
@@ -78,8 +80,6 @@ struct ServeOptions
     /** The daemon's pipeline context (fixed per process). */
     kernel::KernelConfig kernel;
     uint32_t profile_base_iters = 120;
-    /** Concurrent heavy requests admitted (0 = 2 * jobs). */
-    unsigned max_inflight = 0;
     /** Defense applied when a request names none (control knob). */
     std::string default_defense = "all";
     /** `check` severity gate when a request names none (knob). */
@@ -142,8 +142,8 @@ class Server
     bool start();
 
     /**
-     * Block until requestStop(), then tear down: stop listeners,
-     * close sessions, drain the pool.
+     * Block until requestStop(), then tear down: stop listeners and
+     * close sessions.
      */
     void wait();
 
@@ -226,17 +226,17 @@ class Server
     runtime::ArtifactCache cache_;
     /** Why the disk tier could not be set up; start() then fails. */
     std::optional<std::string> cache_error_;
-    runtime::ThreadPool pool_;
     AdmissionGate gate_;
     ServeMetrics metrics_;
     ControlPlane control_;
 
-    Batcher<ContextPtr> context_flight_;
     Batcher<ImagePtr> image_flight_;
     Batcher<core::Measurement> measure_flight_;
 
+    /** Held across the context build, so concurrent first requests
+     *  wait for one build; a failed build leaves ctx_ empty. */
     std::mutex ctx_mu_;
-    ContextPtr ctx_; ///< Set once by the first context() leader.
+    ContextPtr ctx_;
 
     std::mutex images_mu_;
     struct ImageSlot

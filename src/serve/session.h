@@ -6,9 +6,8 @@
  * a frame, parse the request envelope, hand it to the server's
  * dispatcher, write the response frame. Malformed JSON gets an error
  * response (the connection survives); a broken frame or EOF ends the
- * session. Concurrency comes from running many sessions — the heavy
- * lifting inside a request is fanned into the shared ThreadPool by
- * the dispatcher, never done per-connection.
+ * session. Concurrency comes from running many sessions: a request
+ * the server's admission gate lets in runs on its session's thread.
  */
 #ifndef PIBE_SERVE_SESSION_H_
 #define PIBE_SERVE_SESSION_H_

@@ -1150,24 +1150,6 @@ TEST(Sandwich, TryBuildImageReturnsStructuralErrors)
         << plain.error;
 }
 
-TEST(Sandwich, ModuleCleanupStagePreservesBehaviour)
-{
-    test::GenConfig gcfg;
-    gcfg.seed = 5;
-    ir::Module m = test::generateModule(gcfg);
-    profile::EdgeProfile prof; // empty: pipeline still runs
-
-    core::OptConfig opt = core::OptConfig::icpAndInline(0.999);
-    opt.module_cleanup = true;
-    ir::Module image = core::buildImage(m, prof, opt,
-                                        harden::DefenseConfig::none());
-    for (const auto& args : test::argMatrix()) {
-        EXPECT_EQ(test::runFunction(m, test::generatedMain(m), args),
-                  test::runFunction(image, test::generatedMain(image),
-                                    args));
-    }
-}
-
 TEST(Diagnostics, SortIsCanonicalAndDeterministic)
 {
     auto mk = [](ir::FuncId f, ir::BlockId b, int32_t i,

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
+#include <set>
 #include <stdexcept>
 
 #include "ir/printer.h"
@@ -206,6 +209,45 @@ TEST_F(ExperimentTest, TextKeysEqualDigestChainedKeys)
     EXPECT_EQ(by_digest.stats.cycles, by_text.stats.cycles);
 }
 
+// Every OptConfig field that can change the image is in the image key:
+// flipping any one of them names a different image.
+TEST(Engine, ImageKeyCoversEveryOptConfigField)
+{
+    const auto kernel = core::ArtifactDigest::of("kernel");
+    const auto profile = core::ArtifactDigest::of("profile");
+    const harden::DefenseConfig defense = harden::DefenseConfig::all();
+    const std::vector<std::pair<const char*,
+                                std::function<void(core::OptConfig&)>>>
+        flips = {
+            {"enable_icp", [](auto& o) { o.enable_icp = !o.enable_icp; }},
+            {"icp_budget", [](auto& o) { o.icp_budget = 0.5; }},
+            {"icp_max_targets", [](auto& o) { o.icp_max_targets = 1; }},
+            {"icp_total_promotion",
+             [](auto& o) { o.icp_total_promotion = true; }},
+            {"icp_total_promotion_max_targets",
+             [](auto& o) { o.icp_total_promotion_max_targets = 30; }},
+            {"inliner",
+             [](auto& o) { o.inliner = core::InlinerKind::kDefaultLlvm; }},
+            {"inline_budget", [](auto& o) { o.inline_budget = 0.5; }},
+            {"lax_heuristics", [](auto& o) { o.lax_heuristics = true; }},
+            {"lax_budget", [](auto& o) { o.lax_budget = 0.5; }},
+            {"rule2_caller_threshold",
+             [](auto& o) { o.rule2_caller_threshold = 1; }},
+            {"rule3_callee_threshold",
+             [](auto& o) { o.rule3_callee_threshold = 1; }},
+        };
+    std::set<std::string> keys = {
+        core::imageCacheKey(kernel, profile, core::OptConfig{}, defense)};
+    for (const auto& [field, flip] : flips) {
+        core::OptConfig opt;
+        flip(opt);
+        EXPECT_TRUE(
+            keys.insert(core::imageCacheKey(kernel, profile, opt, defense))
+                .second)
+            << field;
+    }
+}
+
 // The measurement key covers the image's content: one flipped byte of
 // the text is a different key, so a cache miss.
 TEST_F(ExperimentTest, FlippedImageByteChangesTheMeasureKey)
@@ -344,6 +386,25 @@ TEST(Engine, CorruptDiskCacheArtifactsAreRecomputed)
         for (const auto& [path, bytes] : corrupted)
             EXPECT_EQ(readAll(path), clean_bytes[path]) << path;
     }
+
+    // Every artifact corrupt: each lookup found bytes it could not
+    // use, so the rerun used the cache for nothing.
+    for (const auto& [path, bytes] : clean_bytes) {
+        const bool profile = path == profile_art;
+        const bool measurement =
+            std::find(measurements.begin(), measurements.end(), path) !=
+            measurements.end();
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            << (profile       ? "not a profile\n"
+                : measurement ? "not a measurement\n"
+                              : "not a PIR module\n");
+    }
+    const core::ExperimentResults all_corrupt =
+        core::runExperiments(plan, opts);
+    EXPECT_EQ(dump(all_corrupt), clean);
+    EXPECT_EQ(all_corrupt.cache.corrupt, clean_bytes.size());
+    EXPECT_EQ(all_corrupt.cache.hits(), 0u);
+    EXPECT_EQ(all_corrupt.cache.hitRate(), 0.0);
     fs::remove_all(dir);
 }
 

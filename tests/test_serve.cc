@@ -16,14 +16,17 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "check/checks.h"
+#include "check/target_sets.h"
 #include "ir/parser.h"
 #include "pibe/engine.h"
 #include "profile/serialize.h"
@@ -120,6 +123,27 @@ TEST(ServeJson, DoublesAndIntegersRoundTripExactly)
     ASSERT_TRUE(zero.has_value());
     EXPECT_EQ(std::bit_cast<uint64_t>(zero->asDouble()),
               std::bit_cast<uint64_t>(-0.0));
+}
+
+// The checker's hand-written JSON escapes the strings it embeds: a
+// module path with a quote and a backslash still parses, and names the
+// same path.
+TEST(ServeJson, SurfaceAndDiagnosticStringsAreEscaped)
+{
+    const std::string name = "a\"b\\c";
+    check::SurfaceReport rep;
+    rep.module_name = name;
+    rep.defenses.push_back({});
+    rep.defenses.back().defense = name;
+    std::optional<Json> surface = Json::parse(check::renderSurfaceJson(rep));
+    ASSERT_TRUE(surface.has_value());
+    EXPECT_EQ((*surface)["module"].asString(), name);
+    EXPECT_EQ((*surface)["defenses"].at(0)["defense"].asString(), name);
+
+    std::optional<Json> escaped =
+        Json::parse("\"" + check::jsonEscape(name + "\n\t\x01") + "\"");
+    ASSERT_TRUE(escaped.has_value());
+    EXPECT_EQ(escaped->asString(), name + "\n\t\x01");
 }
 
 // ---------------------------------------------------------------------
@@ -814,9 +838,35 @@ TEST(ServeServer, CorruptCachedImageIsRecomputed)
                             ["corrupt"]
                       .asInt(),
                   1);
-        std::ifstream in(art, std::ios::binary);
-        EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}),
-                  clean_text);
+        {
+            std::ifstream in(art, std::ios::binary);
+            EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}),
+                      clean_text);
+        }
+
+        // Kernel, profile and image all corrupt: every lookup found
+        // bytes it could not use, so the cache answered nothing.
+        size_t artifacts = 0;
+        for (const fs::directory_entry& e :
+             fs::directory_iterator(dir.path())) {
+            if (e.path().extension() != ".art")
+                continue;
+            std::string first_line;
+            std::getline(std::ifstream(e.path()), first_line);
+            std::ofstream(e.path(), std::ios::trunc)
+                << (first_line == "pibe-profile v1" ? "not a profile\n"
+                                                    : corruption);
+            ++artifacts;
+        }
+        ASSERT_EQ(artifacts, 3u);
+        serve::Server all_corrupt(opts);
+        EXPECT_EQ(
+            callServer(all_corrupt, "optimize", params)["image"].asString(),
+            key);
+        const Json cache =
+            callServer(all_corrupt, "metrics", Json::object())["cache"];
+        EXPECT_EQ(cache["corrupt"].asInt(), 3);
+        EXPECT_EQ(cache["hit_rate"].asDouble(-1), 0.0);
     }
 }
 
@@ -978,6 +1028,13 @@ TEST(ServeServer, RequestValidationAndControlKnobs)
         server.handle(serve::makeRequest(5, "config", params));
     EXPECT_FALSE(bad_set["ok"].asBool(true));
 
+    // max_inflight is the one admission limit: --jobs sets it, the
+    // knob moves it, ping reports it.
+    EXPECT_EQ(callServer(server, "ping", Json::object())["jobs"].asInt(), 2);
+    params.set("value", "3");
+    callServer(server, "config", params);
+    EXPECT_EQ(callServer(server, "ping", Json::object())["jobs"].asInt(), 3);
+
     // Metrics saw every request above.
     const Json metrics =
         callServer(server, "metrics", Json::object());
@@ -1031,6 +1088,78 @@ TEST(ServeServer, CheckFailOnPolicyMatchesDirectOutcome)
     EXPECT_EQ(at_warn.passed, strict["passed"].asBool(true));
     EXPECT_EQ(static_cast<int64_t>(at_error.report.warnings()),
               lenient["warnings"].asInt());
+}
+
+// Admitted requests run on their callers' threads: concurrent
+// duplicates and distinct requests give the serial answers, and never
+// more than `jobs` of them run at once.
+TEST(ServeServer, ConcurrentRequestsMatchSerial)
+{
+    std::vector<Json> mix;
+    for (const char* defense : {"retpolines", "lvi", "retpolines"}) {
+        Json params = Json::object();
+        params.set("defense", defense);
+        mix.push_back(serve::makeRequest(1, "optimize", params));
+        params.set("workload", "read");
+        mix.push_back(serve::makeRequest(1, "measure", params));
+        params.set("workload", "null");
+        mix.push_back(serve::makeRequest(1, "measure", params));
+    }
+    Json check_params = Json::object();
+    check_params.set("defense", "lvi");
+    mix.push_back(serve::makeRequest(1, "check", check_params));
+
+    std::vector<std::string> serial;
+    {
+        serve::ServeOptions opts = tinyServeOptions();
+        opts.jobs = 1;
+        serve::Server server(opts);
+        for (const Json& request : mix)
+            serial.push_back(server.handle(request).dump());
+    }
+    for (const std::string& answer : serial)
+        ASSERT_NE(answer.find("\"ok\":true"), std::string::npos) << answer;
+
+    // Aborts instead of hanging if a request never returns.
+    std::promise<void> finished;
+    std::thread watchdog([done = finished.get_future()] {
+        if (done.wait_for(std::chrono::minutes(5)) !=
+            std::future_status::ready) {
+            std::fprintf(stderr, "ConcurrentRequestsMatchSerial hung\n");
+            std::abort();
+        }
+    });
+    constexpr size_t kThreads = 4;
+    for (const unsigned jobs : {1u, 2u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        serve::ServeOptions opts = tinyServeOptions();
+        opts.jobs = jobs;
+        serve::Server server(opts);
+        // Each thread sends the whole mix, starting at its own offset.
+        std::vector<std::vector<std::string>> answers(
+            kThreads, std::vector<std::string>(mix.size()));
+        std::vector<std::thread> threads;
+        for (size_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                for (size_t k = 0; k < mix.size(); ++k) {
+                    const size_t i = (k + t * 2) % mix.size();
+                    answers[t][i] = server.handle(mix[i]).dump();
+                }
+            });
+        }
+        for (std::thread& thread : threads)
+            thread.join();
+        for (size_t t = 0; t < kThreads; ++t)
+            for (size_t i = 0; i < mix.size(); ++i)
+                EXPECT_EQ(answers[t][i], serial[i])
+                    << "thread " << t << ", request " << i;
+        const serve::MetricsSnapshot snap = server.metricsSnapshot();
+        EXPECT_EQ(snap.requests, kThreads * mix.size());
+        EXPECT_GE(snap.peak_inflight, 1u);
+        EXPECT_LE(snap.peak_inflight, jobs);
+    }
+    finished.set_value();
+    watchdog.join();
 }
 
 TEST(ServeServer, SeverityNamesParse)

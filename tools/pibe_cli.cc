@@ -27,8 +27,8 @@
  *   pibe serve    [--socket PATH] [--tcp PORT] [--jobs N]
  *                 [--cache-dir DIR] [--cache-budget BYTES]
  *                 [--drivers N] [--seed S] [--profile-iters N]
- *                 [--max-inflight N] [--defense NAME]
- *                 [--fail-on note|warn|error] [--auth-token T]
+ *                 [--defense NAME] [--fail-on note|warn|error]
+ *                 [--auth-token T]
  *   pibe loadgen  [--socket PATH] [--tcp PORT] [--requests N]
  *                 [--clients N] [--seed S] [--variants N]
  *                 [--verify N] [--out FILE] [--auth-token T]
@@ -45,7 +45,7 @@
  *                 [--out BENCH_scale.json]
  *   pibe selftest            (end-to-end smoke of all subcommands)
  *
- * `check` and `scalebench` reject options they do not know.
+ * `check`, `scalebench` and `serve` reject options they do not know.
  */
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -792,7 +792,8 @@ cmdCheck(Args& args)
         std::printf("{\"module\":\"%s\",\"errors\":%zu,"
                     "\"warnings\":%zu,\"notes\":%zu,"
                     "\"passed\":%s,%s\"diagnostics\":%s}\n",
-                    path.c_str(), report.errors(), report.warnings(),
+                    check::jsonEscape(path).c_str(), report.errors(),
+                    report.warnings(),
                     report.notes(), outcome.passed ? "true" : "false",
                     timing_json.empty()
                         ? ""
@@ -803,7 +804,8 @@ cmdCheck(Args& args)
         if (!timing_json.empty())
             std::printf("timing: %s\n", timing_json.c_str());
         std::printf("%s: %zu error(s), %zu warning(s), %zu note(s)\n",
-                    path.c_str(), report.errors(), report.warnings(),
+                    check::jsonEscape(path).c_str(), report.errors(),
+                    report.warnings(),
                     report.notes());
     }
     return outcome.passed ? 0 : 1;
@@ -1227,11 +1229,10 @@ cmdServe(Args& args)
     opts.kernel.seed = std::stoull(args.get("--seed", "42"));
     opts.profile_base_iters = static_cast<uint32_t>(
         std::stoul(args.get("--profile-iters", "120")));
-    opts.max_inflight = static_cast<unsigned>(
-        std::stoul(args.get("--max-inflight", "0")));
     opts.default_defense = args.get("--defense", "all");
     opts.fail_on = args.get("--fail-on", "error");
     opts.auth_token = args.get("--auth-token", envAuthToken());
+    args.rejectUnused("serve");
 
     serve::Server server(std::move(opts));
     if (!server.start())
